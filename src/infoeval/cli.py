@@ -25,14 +25,7 @@ from typing import Sequence
 from . import __version__, analysis, fixtures
 from .confusion import AugmentedConfusionMatrix, parse_matrices
 from .infocore import SINGULAR
-from .measures import (
-    CATALOG,
-    InvariantViolation,
-    MeasureId,
-    evaluate_all,
-    parse_selection,
-    performance_summary,
-)
+from .measures import InvariantViolation, evaluate_all, parse_selection
 from .ranking import rank
 
 __all__ = ["main"]
@@ -245,48 +238,28 @@ def _render_table(header, rows, args) -> str:
     return _markdown_table(header, rows)
 
 
-_PERFORMANCE_FIELD = {
-    MeasureId.CORRECT_RATE: "correct_rate",
-    MeasureId.ERROR_RATE: "error_rate",
-    MeasureId.REJECT_RATE: "reject_rate",
-    MeasureId.ACCURACY: "accuracy",
-    MeasureId.PRECISION: "precision",
-    MeasureId.RECALL: "recall",
-    MeasureId.F1: "f1",
-}
-
-
-def _measure_cells(model: AugmentedConfusionMatrix, ordered):
-    """Values for the selected measures; binary-only ones may be None."""
-    info = [m for m in ordered if m.ni_index is not None]
-    cells = {v.measure: v.value for v in evaluate_all(model, info)} if info else {}
-    if any(m.ni_index is None for m in ordered):
-        summary = performance_summary(model)
-        for measure, field in _PERFORMANCE_FIELD.items():
-            if measure in ordered:
-                cells[measure] = getattr(summary, field)
-    return [cells[m] for m in ordered]
-
-
 def _cmd_eval(args) -> str:
     models = _load_models(args.inputs)
     selection = parse_selection(args.measures)
-    ordered = [m for m in CATALOG if m in selection]
-    table = [(model.model_name, _measure_cells(model, ordered)) for model in models]
+    table = [
+        (model.model_name, evaluate_all(model, selection, strict=False))
+        for model in models
+    ]
     if args.format == "json":
         payload = [
             {
                 "name": name,
                 "measures": {
-                    m.value: _json_value(v, args) for m, v in zip(ordered, values)
+                    item.measure.value: _json_value(item.value, args) for item in values
                 },
             }
             for name, values in table
         ]
         return json.dumps(payload, indent=2) + "\n"
-    header = ["model", *(m.value for m in ordered)]
+    header = ["model", *(item.measure.value for item in table[0][1])]
     rows = [
-        [name, *(_format_value(v, args) for v in values)] for name, values in table
+        [name, *(_format_value(item.value, args) for item in values)]
+        for name, values in table
     ]
     return _render_table(header, rows, args)
 
@@ -294,12 +267,11 @@ def _cmd_eval(args) -> str:
 def _cmd_rank(args) -> str:
     models = _load_models(args.inputs)
     selection = parse_selection(args.measures)
-    ordered = [m for m in CATALOG if m in selection]
     names = [model.model_name for model in models]
-    reports = []
-    for measure in ordered:
-        values = [evaluate_all(model, [measure])[0] for model in models]
-        reports.append(rank(values, rounding=args.round, model_names=names))
+    table = [evaluate_all(model, selection) for model in models]
+    reports = [
+        rank(column, rounding=args.round, model_names=names) for column in zip(*table)
+    ]
     if args.format == "json":
         payload = {
             "rounding": args.round,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "AugmentedConfusionMatrix",
@@ -44,12 +44,17 @@ class AugmentedConfusionMatrix:
 
     Invariants enforced at construction: at least two classes, every
     row exactly m+1 entries, non-negative integer counts, and a
-    strictly positive total for every true class.
+    strictly positive total for every true class.  The totals are
+    computed once, at construction.
     """
 
     counts: tuple[tuple[int, ...], ...]
     class_labels: tuple[str, ...] | None = None
     model_name: str | None = None
+    row_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    column_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)  # n, the sample count
+    reject_total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.counts)
@@ -58,17 +63,26 @@ class AugmentedConfusionMatrix:
             raise ValueError(f"need at least 2 classes, got {m} row(s)")
         width = m + 1
         checked = []
+        row_totals = []
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     f"ragged rows: row {i + 1} has {len(row)} entries, expected {width}"
                 )
-            row = tuple(_as_count(c, f"row {i + 1}, column {j + 1}")
-                        for j, c in enumerate(row))
-            if sum(row) == 0:
+            if not all(type(c) is int and c >= 0 for c in row):
+                row = tuple(_as_count(c, f"row {i + 1}, column {j + 1}")
+                            for j, c in enumerate(row))
+            total = sum(row)
+            if total == 0:
                 raise ValueError(f"row total is zero (class {i + 1})")
             checked.append(row)
+            row_totals.append(total)
+        column_totals = tuple(map(sum, zip(*checked)))
         object.__setattr__(self, "counts", tuple(checked))
+        object.__setattr__(self, "row_totals", tuple(row_totals))
+        object.__setattr__(self, "column_totals", column_totals)
+        object.__setattr__(self, "total", sum(row_totals))
+        object.__setattr__(self, "reject_total", column_totals[-1])
         if self.class_labels is not None:
             labels = tuple(str(x) for x in self.class_labels)
             if len(labels) != m:
@@ -93,24 +107,6 @@ class AugmentedConfusionMatrix:
     @property
     def n_classes(self) -> int:
         return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        """n, the overall number of samples."""
-        return sum(self.row_totals)
-
-    @property
-    def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    @property
-    def column_totals(self) -> tuple[int, ...]:
-        width = self.n_classes + 1
-        return tuple(sum(row[j] for row in self.counts) for j in range(width))
-
-    @property
-    def reject_total(self) -> int:
-        return self.column_totals[-1]
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 from .confusion import EmpiricalDistribution
@@ -95,6 +96,11 @@ class DivergenceKind(Enum):
 def shannon_entropy(p: Sequence[float]) -> float:
     """H(p) = -sum p_i log2 p_i, with H contributions of 0 at p_i = 0."""
     _check_simplex(p, "p")
+    return _entropy(p)
+
+
+def _entropy(p) -> float:
+    # unchecked: for callers that have checked p once already
     return -sum(x * math.log2(x) for x in p if x > 0.0)
 
 
@@ -197,37 +203,17 @@ def _variation(p, q):
     return sum(abs(a - b) for a, b in zip(p, q))
 
 
-def _symmetric_kl(p, q) -> ExtendedValue:
-    forward = _kl(p, q)
-    backward = _kl(q, p)
+def _symmetric(forward, backward) -> ExtendedValue:
+    """D(p, q) + D(q, p) from the two directed values."""
     if forward is SINGULAR or backward is SINGULAR:
         return SINGULAR
     return forward + backward
 
 
-def _jensen_shannon(p, q) -> ExtendedValue:
-    mid = tuple((a + b) / 2.0 for a, b in zip(p, q))
-    forward = _kl(p, mid)
-    backward = _kl(q, mid)
-    if forward is SINGULAR or backward is SINGULAR:  # unreachable: mid=0 needs a=b=0
-        return SINGULAR
-    return forward + backward
-
-
-def _symmetric_chi_squared(p, q) -> ExtendedValue:
-    forward = _chi_squared(p, q)
-    backward = _chi_squared(q, p)
-    if forward is SINGULAR or backward is SINGULAR:
-        return SINGULAR
-    return forward + backward
-
-
-def _resistor_average_kl(p, q) -> ExtendedValue:
+def _resistor_average(forward, backward) -> ExtendedValue:
     # Harmonic-style combination KL(p,q)*KL(q,p)/(KL(p,q)+KL(q,p)).
     # At KL = KL = 0 the ratio is 0/0 and is surfaced as SINGULAR,
     # even though the limit along p = q is 0.
-    forward = _kl(p, q)
-    backward = _kl(q, p)
     if forward is SINGULAR or backward is SINGULAR:
         return SINGULAR
     denom = forward + backward
@@ -236,18 +222,52 @@ def _resistor_average_kl(p, q) -> ExtendedValue:
     return forward * backward / denom
 
 
+def _jensen_shannon(p, q) -> ExtendedValue:
+    mid = tuple((a + b) / 2.0 for a, b in zip(p, q))
+    # never SINGULAR: mid = 0 needs a = b = 0
+    return _symmetric(_kl(p, mid), _kl(q, mid))
+
+
+class _Pair:
+    """Two distributions on one support, already checked.
+
+    Each directed KL and chi-squared value is computed on first use and
+    kept, so the divergences built from the same value share it.
+    """
+
+    def __init__(self, p, q):
+        self.p = p
+        self.q = q
+
+    @cached_property
+    def kl(self) -> ExtendedValue:
+        return _kl(self.p, self.q)
+
+    @cached_property
+    def kl_back(self) -> ExtendedValue:
+        return _kl(self.q, self.p)
+
+    @cached_property
+    def chi2(self) -> ExtendedValue:
+        return _chi_squared(self.p, self.q)
+
+    @cached_property
+    def chi2_back(self) -> ExtendedValue:
+        return _chi_squared(self.q, self.p)
+
+
 _DISPATCH = {
-    DivergenceKind.SQUARED_EUCLIDEAN: _squared_euclidean,
-    DivergenceKind.CAUCHY_SCHWARZ: _cauchy_schwarz,
-    DivergenceKind.KULLBACK_LEIBLER: _kl,
-    DivergenceKind.BHATTACHARYYA: _bhattacharyya,
-    DivergenceKind.PEARSON_CHI_SQUARED: _chi_squared,
-    DivergenceKind.HELLINGER: _hellinger,
-    DivergenceKind.VARIATION: _variation,
-    DivergenceKind.SYMMETRIC_KL: _symmetric_kl,
-    DivergenceKind.JENSEN_SHANNON: _jensen_shannon,
-    DivergenceKind.SYMMETRIC_CHI_SQUARED: _symmetric_chi_squared,
-    DivergenceKind.RESISTOR_AVERAGE_KL: _resistor_average_kl,
+    DivergenceKind.SQUARED_EUCLIDEAN: lambda pq: _squared_euclidean(pq.p, pq.q),
+    DivergenceKind.CAUCHY_SCHWARZ: lambda pq: _cauchy_schwarz(pq.p, pq.q),
+    DivergenceKind.KULLBACK_LEIBLER: lambda pq: pq.kl,
+    DivergenceKind.BHATTACHARYYA: lambda pq: _bhattacharyya(pq.p, pq.q),
+    DivergenceKind.PEARSON_CHI_SQUARED: lambda pq: pq.chi2,
+    DivergenceKind.HELLINGER: lambda pq: _hellinger(pq.p, pq.q),
+    DivergenceKind.VARIATION: lambda pq: _variation(pq.p, pq.q),
+    DivergenceKind.SYMMETRIC_KL: lambda pq: _symmetric(pq.kl, pq.kl_back),
+    DivergenceKind.JENSEN_SHANNON: lambda pq: _jensen_shannon(pq.p, pq.q),
+    DivergenceKind.SYMMETRIC_CHI_SQUARED: lambda pq: _symmetric(pq.chi2, pq.chi2_back),
+    DivergenceKind.RESISTOR_AVERAGE_KL: lambda pq: _resistor_average(pq.kl, pq.kl_back),
 }
 
 
@@ -262,4 +282,4 @@ def divergence(kind: DivergenceKind, p: Sequence[float], q: Sequence[float]) -> 
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     _check_simplex(p, "p")
     _check_simplex(q, "q")
-    return _DISPATCH[kind](tuple(p), tuple(q))
+    return _DISPATCH[kind](_Pair(tuple(p), tuple(q)))

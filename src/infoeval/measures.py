@@ -25,19 +25,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable
 
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
     SINGULAR,
+    _DISPATCH,
     DivergenceKind,
     ExtendedValue,
+    _check_simplex,
+    _entropy,
+    _Pair,
     cross_entropy,
-    divergence,
     joint_entropy,
     modified_mutual_information,
     mutual_information,
-    shannon_entropy,
 )
 
 __all__ = [
@@ -68,7 +71,10 @@ class MeasureGroup(Enum):
 
 
 class MeasureId(Enum):
-    """Catalog identifiers; enum order is the catalog order."""
+    """Catalog identifiers; enum order is the catalog order.
+
+    ``ni_index`` is 1..24 for information measures, None for performance ones.
+    """
 
     NI1 = "NI1"
     NI2 = "NI2"
@@ -102,22 +108,16 @@ class MeasureId(Enum):
     RECALL = "Recall"
     F1 = "F1"
 
-    @property
-    def ni_index(self) -> int | None:
-        """1..24 for information measures, None for performance ones."""
-        name = self.value
-        return int(name[2:]) if name.startswith("NI") else None
-
-    @property
-    def group(self) -> MeasureGroup:
-        k = self.ni_index
+    def __init__(self, token: str):
+        self.ni_index = k = int(token[2:]) if token.startswith("NI") else None
         if k is None:
-            return MeasureGroup.PERFORMANCE
-        if k <= 9:
-            return MeasureGroup.MUTUAL_INFORMATION
-        if k <= 20:
-            return MeasureGroup.DIVERGENCE
-        return MeasureGroup.CROSS_ENTROPY
+            self.group = MeasureGroup.PERFORMANCE
+        elif k <= 9:
+            self.group = MeasureGroup.MUTUAL_INFORMATION
+        elif k <= 20:
+            self.group = MeasureGroup.DIVERGENCE
+        else:
+            self.group = MeasureGroup.CROSS_ENTROPY
 
     @classmethod
     def from_token(cls, token: str) -> "MeasureId":
@@ -129,6 +129,8 @@ class MeasureId(Enum):
 
 
 CATALOG: tuple[MeasureId, ...] = tuple(MeasureId)
+_INFORMATION = tuple(m for m in CATALOG if m.ni_index is not None)
+_POSITION = {m: k for k, m in enumerate(CATALOG)}
 
 _GROUP_ALIASES = {
     "mi": MeasureGroup.MUTUAL_INFORMATION,
@@ -161,7 +163,7 @@ def parse_selection(text: str) -> tuple[MeasureId, ...]:
         if key == "all":
             expansion: Iterable[MeasureId] = CATALOG
         elif key in ("information", "ni"):
-            expansion = (m for m in CATALOG if m.ni_index is not None)
+            expansion = _INFORMATION
         elif key in _GROUP_ALIASES:
             expansion = measures_in_group(_GROUP_ALIASES[key])
         else:
@@ -177,7 +179,7 @@ def parse_selection(text: str) -> tuple[MeasureId, ...]:
 @dataclass(frozen=True)
 class MeasureValue:
     measure: MeasureId
-    value: ExtendedValue
+    value: ExtendedValue | None  # None: a 2-class-only rate under strict=False
 
     @property
     def is_singular(self) -> bool:
@@ -200,18 +202,18 @@ class PerformanceSummary:
 def performance_summary(matrix: AugmentedConfusionMatrix) -> PerformanceSummary:
     """Correct/error/reject rates, accuracy, and binary P/R/F1.
 
-    Accuracy is the correct rate among accepted (non-rejected)
-    samples.  For two classes, class 1 is the reference class;
-    rejected class-1 samples are excluded from the recall denominator.
+    Errors are counted in integers, so an error-free matrix has an
+    error rate of exactly 0.0.  Accuracy is the correct rate among
+    accepted (non-rejected) samples, and 0.0 when every sample is
+    rejected (the 0/0 policy of the MI ratios).  For two classes,
+    class 1 is the reference class; rejected class-1 samples are
+    excluded from the recall denominator.
     """
     n = matrix.total
     m = matrix.n_classes
     correct = sum(matrix.counts[i][i] for i in range(m))
     rejected = matrix.reject_total
-    cr = correct / n
-    rej = rejected / n
-    err = 1.0 - cr - rej
-    accuracy = cr / (cr + err)
+    accepted = n - rejected
     precision = recall = f1 = None
     if m == 2:
         (c11, _, c13), (c21, _, _) = matrix.counts
@@ -225,10 +227,10 @@ def performance_summary(matrix: AugmentedConfusionMatrix) -> PerformanceSummary:
             else 0.0
         )
     return PerformanceSummary(
-        correct_rate=cr,
-        error_rate=err,
-        reject_rate=rej,
-        accuracy=accuracy,
+        correct_rate=correct / n,
+        error_rate=(accepted - correct) / n,
+        reject_rate=rejected / n,
+        accuracy=correct / accepted if accepted else 0.0,
         precision=precision,
         recall=recall,
         f1=f1,
@@ -259,118 +261,135 @@ def _ratio(numerator: float, denominator: float) -> ExtendedValue:
     return SINGULAR
 
 
-class _InfoContext:
-    """Shared per-matrix quantities for the 24 information measures."""
+def _mean(a: float, b: ExtendedValue) -> ExtendedValue:
+    return SINGULAR if b is SINGULAR else 0.5 * (a + b)
+
+
+def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
+    """exp(-D) of one divergence between p(t) and p(y), or SINGULAR."""
+    d = divergence(r.pair)
+    return SINGULAR if d is SINGULAR else math.exp(-d)
+
+
+def _ce_ratio(h: float, ce: float) -> float:
+    """An entropy over a cross entropy; 0.0 when the latter is infinite."""
+    return 0.0 if math.isinf(ce) else h / ce
+
+
+def _distributions(r: "_Record"):
+    d = r.matrix.distributions()
+    _check_simplex(d.row_marginal, "p(t)")
+    _check_simplex(d.col_marginal, "p(y)")
+    return d
+
+
+# The shared quantities of one matrix.  p_t is p(t) padded with a zero
+# at the reject position, so it shares p(y)'s support; "ce" holds
+# (H(T;Y), H(Y;T)).
+_QUANTITIES: dict[str, Callable[["_Record"], object]] = {
+    "d": _distributions,
+    "p_t": lambda r: r.d.row_marginal_padded,
+    "p_y": lambda r: r.d.col_marginal,
+    "h_t": lambda r: _entropy(r.d.row_marginal),
+    "h_y": lambda r: _entropy(r.p_y),
+    "h_joint": lambda r: joint_entropy(r.d),
+    "i": lambda r: mutual_information(r.d),
+    "i_m": lambda r: modified_mutual_information(r.d),
+    "ce": lambda r: (cross_entropy(r.p_t, r.p_y), cross_entropy(r.p_y, r.p_t)),
+    "pair": lambda r: _Pair(r.p_t, r.p_y),
+    "perf": lambda r: performance_summary(r.matrix),
+}
+
+
+class _Record:
+    """One matrix's shared quantities, each computed on first use.
+
+    Reading a missing attribute computes it from _QUANTITIES and keeps
+    it, so an evaluation pays only for the quantities its formulas read
+    and computes none of them twice.
+    """
 
     def __init__(self, matrix: AugmentedConfusionMatrix):
-        d = matrix.distributions()
-        self.i = mutual_information(d)
-        self.i_m = modified_mutual_information(d)
-        self.h_t = shannon_entropy(d.row_marginal)
-        self.h_y = shannon_entropy(d.col_marginal)
-        self.h_joint = joint_entropy(d)
-        self.p_t = d.row_marginal_padded
-        self.p_y = d.col_marginal
+        self.matrix = matrix
 
-    def ni(self, index: int) -> ExtendedValue:
-        if index <= 9:
-            return self._mi_group(index)
-        if index <= 20:
-            d = divergence(DivergenceKind(index), self.p_t, self.p_y)
-            return SINGULAR if d is SINGULAR else math.exp(-d)
-        return self._cross_entropy_group(index)
-
-    def _mi_group(self, index: int) -> ExtendedValue:
-        i, i_m, h_t, h_y = self.i, self.i_m, self.h_t, self.h_y
-        if index == 1:
-            return i / h_t
-        if index == 2:
-            return i_m / h_t
-        if index == 3:
-            return _ratio(i, h_y)
-        if index == 4:
-            other = _ratio(i, h_y)
-            if other is SINGULAR:
-                return SINGULAR
-            return 0.5 * (i / h_t + other)
-        if index == 5:
-            return 2.0 * i / (h_t + h_y)
-        if index == 6:
-            return _ratio(i, math.sqrt(h_t * h_y))
-        if index == 7:
-            return i / self.h_joint
-        if index == 8:
-            return i / max(h_t, h_y)
-        if index == 9:
-            return _ratio(i, min(h_t, h_y))
-        raise AssertionError(index)
-
-    def _cross_entropy_group(self, index: int) -> ExtendedValue:
-        h_t, h_y = self.h_t, self.h_y
-        forward = cross_entropy(self.p_t, self.p_y)   # H(T;Y)
-        backward = cross_entropy(self.p_y, self.p_t)  # H(Y;T)
-        if index == 21:
-            return 0.0 if math.isinf(forward) else h_t / forward
-        if index == 22:
-            return 0.0 if math.isinf(backward) else h_y / backward
-        if index == 23:
-            a = 0.0 if math.isinf(forward) else h_t / forward
-            b = 0.0 if math.isinf(backward) else h_y / backward
-            return 0.5 * (a + b)
-        if index == 24:
-            if math.isinf(forward) or math.isinf(backward):
-                return 0.0
-            return (h_t + h_y) / (forward + backward)
-        raise AssertionError(index)
+    def __getattr__(self, name: str):
+        try:
+            compute = _QUANTITIES[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = compute(self)
+        setattr(self, name, value)
+        return value
 
 
-def _performance_value(measure: MeasureId, matrix: AugmentedConfusionMatrix) -> float:
-    summary = performance_summary(matrix)
-    value = {
-        MeasureId.CORRECT_RATE: summary.correct_rate,
-        MeasureId.ERROR_RATE: summary.error_rate,
-        MeasureId.REJECT_RATE: summary.reject_rate,
-        MeasureId.ACCURACY: summary.accuracy,
-        MeasureId.PRECISION: summary.precision,
-        MeasureId.RECALL: summary.recall,
-        MeasureId.F1: summary.f1,
-    }[measure]
-    if value is None:
+# One formula per catalog measure.  The 2-class-only rates are None
+# for a larger matrix.
+_FORMULAS: dict[MeasureId, Callable[[_Record], ExtendedValue | None]] = {
+    MeasureId.NI1: lambda r: r.i / r.h_t,
+    MeasureId.NI2: lambda r: r.i_m / r.h_t,
+    MeasureId.NI3: lambda r: _ratio(r.i, r.h_y),
+    MeasureId.NI4: lambda r: _mean(r.i / r.h_t, _ratio(r.i, r.h_y)),
+    MeasureId.NI5: lambda r: 2.0 * r.i / (r.h_t + r.h_y),
+    MeasureId.NI6: lambda r: _ratio(r.i, math.sqrt(r.h_t * r.h_y)),
+    MeasureId.NI7: lambda r: r.i / r.h_joint,
+    MeasureId.NI8: lambda r: r.i / max(r.h_t, r.h_y),
+    MeasureId.NI9: lambda r: _ratio(r.i, min(r.h_t, r.h_y)),
+    # NI10-NI20: the divergence kind whose value is the measure's index
+    **{
+        MeasureId(f"NI{kind.value}"): partial(_exp_neg, _DISPATCH[kind])
+        for kind in DivergenceKind
+    },
+    MeasureId.NI21: lambda r: _ce_ratio(r.h_t, r.ce[0]),
+    MeasureId.NI22: lambda r: _ce_ratio(r.h_y, r.ce[1]),
+    MeasureId.NI23: lambda r: (
+        0.5 * (_ce_ratio(r.h_t, r.ce[0]) + _ce_ratio(r.h_y, r.ce[1]))
+    ),
+    MeasureId.NI24: lambda r: (
+        0.0 if math.inf in r.ce else (r.h_t + r.h_y) / (r.ce[0] + r.ce[1])
+    ),
+    MeasureId.CORRECT_RATE: lambda r: r.perf.correct_rate,
+    MeasureId.ERROR_RATE: lambda r: r.perf.error_rate,
+    MeasureId.REJECT_RATE: lambda r: r.perf.reject_rate,
+    MeasureId.ACCURACY: lambda r: r.perf.accuracy,
+    MeasureId.PRECISION: lambda r: r.perf.precision,
+    MeasureId.RECALL: lambda r: r.perf.recall,
+    MeasureId.F1: lambda r: r.perf.f1,
+}
+
+
+def _evaluate(record: _Record, measure: MeasureId, strict: bool) -> MeasureValue:
+    value = _FORMULAS[measure](record)
+    if value is None and strict:
         raise ValueError(
-            f"{measure.value} needs a 2-class matrix, got {matrix.n_classes} classes"
+            f"{measure.value} needs a 2-class matrix, got {record.matrix.n_classes} classes"
         )
-    return value
+    if measure.ni_index is not None and value is not SINGULAR:
+        value = _snap_unit(value, measure)
+    return MeasureValue(measure, value)
 
 
 def evaluate(measure: MeasureId, matrix: AugmentedConfusionMatrix) -> MeasureValue:
     """Apply one catalog measure to a matrix."""
-    return _evaluate(measure, matrix, _InfoContext(matrix) if measure.ni_index else None)
-
-
-def _evaluate(measure, matrix, context) -> MeasureValue:
-    index = measure.ni_index
-    if index is None:
-        return MeasureValue(measure, _performance_value(measure, matrix))
-    value = context.ni(index)
-    if value is not SINGULAR:
-        value = _snap_unit(value, measure)
-    return MeasureValue(measure, value)
+    return _evaluate(_Record(matrix), measure, strict=True)
 
 
 def evaluate_all(
     matrix: AugmentedConfusionMatrix,
     selection: Iterable[MeasureId] | None = None,
+    *,
+    strict: bool = True,
 ) -> list[MeasureValue]:
-    """Evaluate a selection (default: all 24 NI measures) in catalog order."""
+    """Evaluate a selection (default: all 24 NI measures) in catalog order.
+
+    Quantities the measures share are computed once per call.  The
+    2-class-only Precision, Recall and F1 raise ValueError on a larger
+    matrix, or get the value None when ``strict`` is false.
+    """
     if selection is None:
-        selected = [m for m in CATALOG if m.ni_index is not None]
+        selected: Iterable[MeasureId] = _INFORMATION
     else:
-        selected = list(dict.fromkeys(selection))
+        selected = sorted(dict.fromkeys(selection), key=_POSITION.__getitem__)
         if not selected:
             raise ValueError("empty measure selection")
-        order = {m: k for k, m in enumerate(CATALOG)}
-        selected.sort(key=order.__getitem__)
-    context = None
-    if any(m.ni_index is not None for m in selected):
-        context = _InfoContext(matrix)
-    return [_evaluate(m, matrix, context) for m in selected]
+    record = _Record(matrix)
+    return [_evaluate(record, m, strict) for m in selected]

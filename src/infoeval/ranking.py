@@ -71,7 +71,8 @@ def rank(
     """Letter-rank one measure's values across competing models.
 
     ``values`` must all carry the same measure.  Model names default
-    to "M1", "M2", ... in input order.
+    to "M1", "M2", ... in input order.  When every value is Singular
+    the measure grades no model and every letter is None.
     """
     if len(values) < 2:
         raise ValueError(f"ranking needs at least 2 models, got {len(values)}")
@@ -90,8 +91,6 @@ def rank(
     finite_rounded = sorted(
         {round(v, rounding) for v in raw if v is not SINGULAR}, reverse=True
     )
-    if not finite_rounded:
-        raise ValueError("all values are Singular; nothing to rank")
     letter_for = {value: _letter(k) for k, value in enumerate(finite_rounded)}
     letters = tuple(
         None if v is SINGULAR else letter_for[round(v, rounding)] for v in raw

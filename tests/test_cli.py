@@ -116,7 +116,46 @@ class TestEval:
         assert "| M1 | 0.831 |" in out
 
 
+class TestAllRejectMatrix:
+    def _write(self, tmp_path):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps([[[0, 0, 5], [0, 0, 5]], [[4, 0, 1], [1, 4, 0]]]))
+        return str(path)
+
+    def test_eval_performance(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "eval", self._write(tmp_path),
+                                 "--measures", "perf", "--format", "json")
+        assert (code, err) == (0, "")
+        rates = json.loads(out)[0]["measures"]
+        assert rates["A"] == 0.0
+        assert rates["E"] == 0.0
+        assert rates["Rej"] == 1.0
+
+    def test_rank_accuracy(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rank", self._write(tmp_path),
+                                 "--measures", "A", "--format", "json")
+        assert (code, err) == (0, "")
+        (ranking,) = json.loads(out)["rankings"]
+        assert [(e["value"], e["letter"]) for e in ranking["models"]] == [
+            (0.0, "B"), (0.889, "A"),
+        ]
+
+
 class TestRank:
+    def test_measure_singular_for_every_model_is_ungraded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rank", "reject_tradeoff", "--measures", "information",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        rankings = {r["measure"]: r["models"] for r in json.loads(out)["rankings"]}
+        assert len(rankings) == 24
+        for measure in ("NI17", "NI19", "NI20"):
+            assert [(e["value"], e["letter"]) for e in rankings[measure]] == [
+                ("S", None), ("S", None),
+            ]
+        assert [e["letter"] for e in rankings["NI2"]] == ["A", "B"]
+
     def test_markdown_sections(self, capsys):
         code, out, _ = run_cli(
             capsys, "rank", "binary_models", "--measures", "NI2,NI3"

@@ -1,0 +1,98 @@
+"""Byte-exact CLI output on the bundled fixtures, and agreement between
+the single-measure, selection and CLI paths to the measure values.
+
+The files under ``golden/`` hold the ``--format json --precision raw``
+output of ``eval --measures all``, ``rank --measures information`` and
+``theorems`` for every bundled fixture.  Regenerate one with, e.g.::
+
+    python -m infoeval.cli eval binary_models --measures all \\
+        --format json --precision raw > tests/golden/eval_binary_models.json
+
+and review the diff: any change to a value is a change of behaviour.
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all, fixtures
+from infoeval.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "eval": ("--measures", "all"),
+    "rank": ("--measures", "information"),
+    "theorems": (),
+}
+
+
+@pytest.mark.parametrize("fixture", fixtures.available())
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_output_matches_golden(capsys, command, fixture):
+    argv = [command, fixture, *COMMANDS[command], "--format", "json", "--precision", "raw"]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{command}_{fixture}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@st.composite
+def mixed_scale_matrices(draw, m=None):
+    """m <= 6 with counts from 0 up to 10**6 mixed within one matrix."""
+    if m is None:
+        m = draw(st.integers(2, 6))
+    count = st.one_of(st.just(0), st.integers(1, 9), st.integers(10, 10**6))
+    row = st.lists(count, min_size=m + 1, max_size=m + 1).filter(any)
+    return AugmentedConfusionMatrix(tuple(tuple(draw(row)) for _ in range(m)))
+
+
+def _values(items):
+    return [item.value for item in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_scale_matrices(), st.data())
+def test_one_path_to_the_values(matrix, data):
+    information = CATALOG[:24]
+    full = evaluate_all(matrix)
+    assert _values(full) == [evaluate(m, matrix).value for m in information]
+    subset = data.draw(st.lists(st.sampled_from(information), min_size=1, unique=True))
+    by_measure = dict(zip(information, _values(full)))
+    picked = sorted(subset, key=information.index)
+    assert _values(evaluate_all(matrix, subset)) == [by_measure[m] for m in picked]
+
+
+@st.composite
+def competing_models(draw):
+    m = draw(st.integers(2, 6))
+    return draw(st.lists(mixed_scale_matrices(m), min_size=2, max_size=4))
+
+
+def _run(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return json.loads(buffer.getvalue())
+
+
+@settings(max_examples=20, deadline=None)
+@given(competing_models())
+def test_cli_rank_values_equal_eval_values(tmp_path_factory, models):
+    path = tmp_path_factory.mktemp("models") / "models.json"
+    path.write_text(json.dumps([[list(row) for row in x.counts] for x in models]))
+    options = ["--measures", "information", "--format", "json", "--precision", "raw"]
+    evaluated = {
+        (entry["name"], measure): value
+        for entry in _run(["eval", str(path), *options])
+        for measure, value in entry["measures"].items()
+    }
+    ranked = {
+        (entry["name"], ranking["measure"]): entry["value"]
+        for ranking in _run(["rank", str(path), *options])["rankings"]
+        for entry in ranking["models"]
+    }
+    assert ranked == evaluated

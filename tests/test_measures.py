@@ -245,6 +245,24 @@ class TestPerformance:
         with pytest.raises(ValueError, match="2-class"):
             evaluate(MeasureId.PRECISION, three_class_models["M7"])
 
+    def test_all_reject_matrix(self):
+        summary = performance_summary(_mx([[0, 0, 5], [0, 0, 5]]))
+        assert summary.reject_rate == 1.0
+        assert summary.correct_rate == summary.error_rate == 0.0
+        assert summary.accuracy == 0.0
+        assert evaluate(MeasureId.ACCURACY, _mx([[0, 0, 5], [0, 0, 5]])).value == 0.0
+
+    def test_error_free_family_is_exact(self):
+        # every 2-class error-free matrix with a, b in 1..59, r in 0..59
+        for a in range(1, 60):
+            for b in range(1, 60):
+                for r in range(60):
+                    summary = performance_summary(
+                        AugmentedConfusionMatrix(((a, 0, r), (0, b, 0)))
+                    )
+                    assert summary.error_rate == 0.0, (a, b, r)
+                    assert summary.accuracy == 1.0, (a, b, r)
+
     def test_zero_denominator_conventions(self):
         # nothing predicted into class 1 and nothing of class 1 accepted
         summary = performance_summary(_mx([[0, 1, 4], [0, 5, 0]]))

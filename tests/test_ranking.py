@@ -70,9 +70,11 @@ class TestSingularHandling:
         assert with_m6.letters[:5] == without.letters
         assert with_m6.letters[5] is None
 
-    def test_all_singular_rejected(self):
-        with pytest.raises(ValueError, match="all values are Singular"):
-            rank(_vals([SINGULAR, SINGULAR]))
+    def test_all_singular_is_ungraded(self):
+        report = rank(_vals([SINGULAR, SINGULAR]), model_names=("x", "y"))
+        assert report.letters == (None, None)
+        assert report.values == (SINGULAR, SINGULAR)
+        assert report.rounded_value("y") is SINGULAR
 
 
 class TestRankValidation:
