@@ -9,6 +9,13 @@ output of ``eval --measures all``, ``rank --measures information`` and
         --format json --precision raw > tests/golden/eval_binary_models.json
 
 and review the diff: any change to a value is a change of behaviour.
+
+The same commands, plus ``omega`` and ``sweep`` at n = 100, d = 1, are
+also pinned in the default fixed precision as markdown (``.md``), CSV
+(``.csv``) and JSON (``.fixed.json``); for example
+``eval_binary_models.csv`` is the output of::
+
+    python -m infoeval.cli eval binary_models --measures all --format csv
 """
 import contextlib
 import io
@@ -37,6 +44,25 @@ def test_output_matches_golden(capsys, command, fixture):
     argv = [command, fixture, *COMMANDS[command], "--format", "json", "--precision", "raw"]
     assert main(argv) == 0
     expected = (GOLDEN / f"{command}_{fixture}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+FIXED_FORMATS = {"md": "markdown", "csv": "csv", "fixed.json": "json"}
+FIXED_CASES = [
+    (f"{command}_{fixture}", (command, fixture, *options))
+    for command, options in sorted(COMMANDS.items())
+    for fixture in fixtures.available()
+] + [
+    (f"{command}_n100_d1", (command, "--n", "100", "--d", "1"))
+    for command in ("omega", "sweep")
+]
+
+
+@pytest.mark.parametrize("suffix", sorted(FIXED_FORMATS))
+@pytest.mark.parametrize("stem, argv", FIXED_CASES, ids=[s for s, _ in FIXED_CASES])
+def test_fixed_precision_output_matches_golden(capsys, stem, argv, suffix):
+    assert main([*argv, "--format", FIXED_FORMATS[suffix]]) == 0
+    expected = (GOLDEN / f"{stem}.{suffix}").read_text()
     assert capsys.readouterr().out == expected
 
 
