@@ -58,6 +58,13 @@ class CanonicalKind(Enum):
     SMALL_CLASS_REJECT = "small-class-reject"
     LARGE_CLASS_REJECT = "large-class-reject"
 
+    def __init__(self, token: str):
+        # the cell that receives the d moved samples: row 0 is the large
+        # class, row 1 the small one; an error lands in the other class's
+        # column, a reject in column 2
+        self.row = 1 if token.startswith("small") else 0
+        self.col = 2 if token.endswith("reject") else 1 - self.row
+
 
 @dataclass(frozen=True)
 class CanonicalModel:
@@ -79,14 +86,13 @@ class CanonicalModel:
         return self.c1 + self.c2
 
     def matrix(self) -> AugmentedConfusionMatrix:
-        c1, c2, d = self.c1, self.c2, self.d
-        rows = {
-            CanonicalKind.SMALL_CLASS_ERROR: ((c1, 0, 0), (d, c2 - d, 0)),
-            CanonicalKind.LARGE_CLASS_ERROR: ((c1 - d, d, 0), (0, c2, 0)),
-            CanonicalKind.SMALL_CLASS_REJECT: ((c1, 0, 0), (0, c2 - d, d)),
-            CanonicalKind.LARGE_CLASS_REJECT: ((c1 - d, 0, d), (0, c2, 0)),
-        }[self.kind]
-        return AugmentedConfusionMatrix(rows, model_name=self.kind.value)
+        rows = [[self.c1, 0, 0], [0, self.c2, 0]]
+        row, col = self.kind.row, self.kind.col
+        rows[row][row] -= self.d
+        rows[row][col] += self.d
+        return AugmentedConfusionMatrix(
+            tuple(map(tuple, rows)), model_name=self.kind.value
+        )
 
 
 def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
@@ -111,17 +117,17 @@ def rejection_cost(class_total: float, d: float, n: float) -> float:
     return d / n * math.log2(class_total / n)
 
 
+def _departure_cost(kind: CanonicalKind, totals, d, n) -> float:
+    # an error joins the receiving class's column; a reject costs by
+    # the rejected samples' own class total
+    if kind.col == 2:
+        return rejection_cost(totals[kind.row], d, n)
+    return misclassification_cost(totals[kind.col], d, n)
+
+
 def delta_I(model: CanonicalModel) -> float:
     """Closed-form I_M(model) - I_M(perfect classification); always < 0."""
-    c1, c2, d, n = model.c1, model.c2, model.d, model.n
-    kind = model.kind
-    if kind is CanonicalKind.SMALL_CLASS_ERROR:
-        return misclassification_cost(c1, d, n)
-    if kind is CanonicalKind.LARGE_CLASS_ERROR:
-        return misclassification_cost(c2, d, n)
-    if kind is CanonicalKind.SMALL_CLASS_REJECT:
-        return rejection_cost(c2, d, n)
-    return rejection_cost(c1, d, n)
+    return _departure_cost(model.kind, (model.c1, model.c2), model.d, model.n)
 
 
 @dataclass(frozen=True)
@@ -177,15 +183,9 @@ def first_order_delta_estimate(model: CanonicalModel) -> float:
     compare with the genuinely negative delta_I.
     """
     base = sensitivity(BinaryConfusion(tn=model.c1, fp=0, rn=0, fn=0, tp=model.c2, rp=0))
-    d = model.d
-    kind = model.kind
-    if kind is CanonicalKind.SMALL_CLASS_ERROR:
-        return d * (base.d_fn - base.d_tp)
-    if kind is CanonicalKind.LARGE_CLASS_ERROR:
-        return d * (base.d_fp - base.d_tn)
-    if kind is CanonicalKind.SMALL_CLASS_REJECT:
-        return d * (base.d_rp - base.d_tp)
-    return d * (base.d_rn - base.d_tn)
+    partials = ((base.d_tn, base.d_fp, base.d_rn), (base.d_fn, base.d_tp, base.d_rp))
+    row, col = model.kind.row, model.kind.col
+    return model.d * (partials[row][col] - partials[row][row])
 
 
 def crossover_gap(p1: float, n: float, d: float) -> float:
@@ -218,7 +218,9 @@ def crossover_analysis(n: int, d: int, scan_points: int = 1000) -> CrossoverResu
 
     Scans p1 over (0.5, 1) for sign changes of :func:`crossover_gap`
     first, reporting every bracket found, then bisects (|gap| < 1e-12
-    or bracket narrower than 1e-10).  Exactly one sign change is
+    or bracket narrower than 1e-10).  A gap of exactly 0 on a grid point
+    (p1 = 0.75 when n = 4d) counts as non-negative, so it closes one
+    bracket instead of opening two.  Exactly one sign change is
     expected; none or several raise instead of guessing.
     """
     if not n > 2 * d > 0:
@@ -230,7 +232,7 @@ def crossover_analysis(n: int, d: int, scan_points: int = 1000) -> CrossoverResu
     brackets = tuple(
         (xs[k], xs[k + 1])
         for k in range(scan_points)
-        if fs[k] == 0.0 or (fs[k] < 0.0) != (fs[k + 1] < 0.0)
+        if (fs[k] < 0.0) != (fs[k + 1] < 0.0)
     )
     if not brackets:
         raise ValueError(
@@ -323,19 +325,14 @@ def classify_canonical(matrix: AugmentedConfusionMatrix) -> CanonicalModel | Non
     """
     if matrix.n_classes != 2:
         return None
-    (a, b, c), (e, f, g) = matrix.counts
-    candidates = {
-        CanonicalKind.SMALL_CLASS_ERROR: ((b, c, g), e, a, e + f),
-        CanonicalKind.LARGE_CLASS_ERROR: ((c, e, g), b, a + b, f),
-        CanonicalKind.SMALL_CLASS_REJECT: ((b, c, e), g, a, f + g),
-        CanonicalKind.LARGE_CLASS_REJECT: ((b, e, g), c, a + c, f),
-    }
-    for kind, (zeros, d, c1, c2) in candidates.items():
-        if d > 0 and all(z == 0 for z in zeros):
-            if c1 > c2 > d:
-                return CanonicalModel(kind, c1, c2, d)
-            return None
-    return None
+    counts = matrix.counts
+    moved = [kind for kind in CanonicalKind if counts[kind.row][kind.col]]
+    if len(moved) != 1:
+        return None
+    (kind,) = moved
+    d = counts[kind.row][kind.col]
+    c1, c2 = matrix.row_totals
+    return CanonicalModel(kind, c1, c2, d) if c1 > c2 > d else None
 
 
 def detect_mi_local_minimum(matrix: AugmentedConfusionMatrix) -> tuple[int, ...]:
@@ -390,6 +387,7 @@ def detect_divergence_maximum(matrix: AugmentedConfusionMatrix) -> bool:
 
 
 class SweepPoint(NamedTuple):
+    # one cost per CanonicalKind, in enum order
     p1: float
     small_class_error: float
     large_class_error: float
@@ -407,15 +405,8 @@ def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoin
     for p1 in grid:
         if not 0.5 < p1 < 1.0:
             raise ValueError(f"grid point {p1} outside (0.5, 1)")
-        c1 = p1 * n
-        c2 = (1.0 - p1) * n
+        totals = (p1 * n, (1.0 - p1) * n)
         points.append(
-            SweepPoint(
-                p1=p1,
-                small_class_error=misclassification_cost(c1, d, n),
-                large_class_error=misclassification_cost(c2, d, n),
-                small_class_reject=rejection_cost(c2, d, n),
-                large_class_reject=rejection_cost(c1, d, n),
-            )
+            SweepPoint(p1, *(_departure_cost(kind, totals, d, n) for kind in CanonicalKind))
         )
     return tuple(points)

@@ -8,9 +8,11 @@ Five subcommands cover the library surface:
 * ``omega``: the cost cross-over share for given n and d,
 * ``sweep``: the four departure-cost curves over class shares.
 
-Output is markdown (default), CSV, or JSON; Singular values print as
-"S".  Exit codes: 0 on success, 1 on bad input, 2 when an internal
-invariant fails.
+Each handler returns its result once, as raw values, and one renderer
+prints it as markdown (default), CSV, or JSON; Singular values print
+as "S", and ``--round``/``--precision`` apply to every format.  Exit
+codes: 0 on success, 1 on bad input, 2 when an internal invariant
+fails.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__, analysis, fixtures
 from .confusion import AugmentedConfusionMatrix, parse_matrices
@@ -167,27 +168,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_input(raw: str) -> Path:
-    path = Path(raw)
-    if path.is_file():
-        return path
-    base = fixtures.fixtures_dir()
-    for candidate in (base / raw, base / f"{raw}.json"):
-        if candidate.is_file():
-            return candidate
-    raise ValueError(f"{raw}: no such file or bundled fixture")
-
-
 def _load_models(inputs: Sequence[str]) -> list[AugmentedConfusionMatrix]:
     models: list[AugmentedConfusionMatrix] = []
     for raw in inputs:
-        path = _resolve_input(raw)
+        path = fixtures.resolve(raw)
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
         try:
-            parsed = parse_matrices(path.read_text(), fmt)
+            models.extend(parse_matrices(path.read_text(), fmt))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        models.extend(parsed)
     return [
         model if model.model_name else model.with_name(f"M{position}")
         for position, model in enumerate(models, start=1)
@@ -207,61 +196,64 @@ def _format_value(value, args) -> str:
     return str(value)
 
 
-def _json_value(value, args):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+def _rounded(value, digits: int):
+    """The payload with every float rounded; other values unchanged."""
+    if isinstance(value, float):
+        return round(value, digits)
+    if isinstance(value, dict):
+        return {key: _rounded(item, digits) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item, digits) for item in value]
+    return value
+
+
+def _singular_as_s(value):
     if value is SINGULAR:
         return "S"
-    return value if args.precision == "raw" else round(value, args.round)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """A handler's result as text in the chosen format.
+
+    ``payload`` holds raw values and is what JSON prints; ``rows`` are
+    the table cells, read only when a table is printed.
+    """
+    if args.format == "json":
+        if args.precision == "fixed":
+            payload = _rounded(payload, args.round)
+        return json.dumps(payload, indent=2, default=_singular_as_s) + "\n"
+    cells = [[_format_value(value, args) for value in row] for row in rows]
+    if args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        return buffer.getvalue()
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    lines.extend("| " + " | ".join(row) + " |" for row in cells)
     return "\n".join(lines) + "\n"
-
-
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _render_table(header, rows, args) -> str:
-    if args.format == "csv":
-        return _csv_table(header, rows)
-    return _markdown_table(header, rows)
 
 
 def _cmd_eval(args) -> str:
     models = _load_models(args.inputs)
     selection = parse_selection(args.measures)
-    table = [
-        (model.model_name, evaluate_all(model, selection, strict=False))
+    payload = [
+        {
+            "name": model.model_name,
+            "measures": {
+                item.measure.value: item.value
+                for item in evaluate_all(model, selection, strict=False)
+            },
+        }
         for model in models
     ]
-    if args.format == "json":
-        payload = [
-            {
-                "name": name,
-                "measures": {
-                    item.measure.value: _json_value(item.value, args) for item in values
-                },
-            }
-            for name, values in table
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    header = ["model", *(item.measure.value for item in table[0][1])]
-    rows = [
-        [name, *(_format_value(item.value, args) for item in values)]
-        for name, values in table
-    ]
-    return _render_table(header, rows, args)
+    header = ["model", *payload[0]["measures"]]
+    rows = ([entry["name"], *entry["measures"].values()] for entry in payload)
+    return _render(args, payload, header, rows)
 
 
 def _cmd_rank(args) -> str:
@@ -272,49 +264,33 @@ def _cmd_rank(args) -> str:
     reports = [
         rank(column, rounding=args.round, model_names=names) for column in zip(*table)
     ]
-    if args.format == "json":
-        payload = {
-            "rounding": args.round,
-            "rankings": [
-                {
-                    "measure": report.measure.value,
-                    "models": [
-                        {
-                            "name": name,
-                            "value": _json_value(value, args),
-                            "letter": letter,
-                        }
-                        for name, value, letter in zip(
-                            report.model_names, report.values, report.letters
-                        )
-                    ],
-                }
-                for report in reports
+    rankings = [
+        {
+            "measure": report.measure.value,
+            "models": [
+                {"name": name, "value": value, "letter": letter}
+                for name, value, letter in zip(
+                    report.model_names, report.values, report.letters
+                )
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    if args.format == "csv":
-        rows = [
-            [report.measure.value, name, _format_value(value, args), letter or ""]
-            for report in reports
-            for name, value, letter in zip(
-                report.model_names, report.values, report.letters
-            )
-        ]
-        return _csv_table(["measure", "model", "value", "letter"], rows)
-    sections = []
-    for report in reports:
-        rows = [
-            [name, _format_value(value, args), letter or ""]
-            for name, value, letter in zip(
-                report.model_names, report.values, report.letters
-            )
-        ]
-        sections.append(
-            f"## {report.measure.value}\n\n"
-            + _markdown_table(["model", "value", "letter"], rows)
+        for report in reports
+    ]
+    if args.format == "markdown":
+        # one section per measure
+        return "\n".join(
+            f"## {ranking['measure']}\n\n"
+            + _render(args, None, ["model", "value", "letter"],
+                      (entry.values() for entry in ranking["models"]))
+            for ranking in rankings
         )
-    return "\n".join(sections)
+    payload = {"rounding": args.round, "rankings": rankings}
+    rows = (
+        [ranking["measure"], *entry.values()]
+        for ranking in rankings
+        for entry in ranking["models"]
+    )
+    return _render(args, payload, ["measure", "model", "value", "letter"], rows)
 
 
 def _theorem_record(model: AugmentedConfusionMatrix) -> dict:
@@ -344,62 +320,37 @@ def _theorem_record(model: AugmentedConfusionMatrix) -> dict:
     return record
 
 
+_CANONICAL_COLUMNS = ("c1", "c2", "d", "delta_I", "p1", "omega", "consistent")
+
+
 def _cmd_theorems(args) -> str:
-    models = _load_models(args.inputs)
-    records = [_theorem_record(model) for model in models]
-    if args.format == "json":
-        payload = []
-        for record in records:
-            entry = dict(record)
-            if entry["canonical"] is not None:
-                canonical = dict(entry["canonical"])
-                for key in ("delta_I", "p1", "omega"):
-                    canonical[key] = _json_value(canonical[key], args)
-                entry["canonical"] = canonical
-            payload.append(entry)
-        return json.dumps(payload, indent=2) + "\n"
+    payload = [_theorem_record(model) for model in _load_models(args.inputs)]
     header = [
         "model", "mi_local_minimum", "blocks", "divergence_maximum",
-        "canonical_kind", "c1", "c2", "d", "delta_I", "p1", "omega", "consistent",
+        "canonical_kind", *_CANONICAL_COLUMNS,
     ]
-    rows = []
-    for record in records:
-        canonical = record["canonical"] or {}
-        rows.append([
+    rows = (
+        [
             record["name"],
-            _format_value(record["mi_local_minimum"], args),
+            record["mi_local_minimum"],
             " ".join(str(b) for b in record["blocks"]),
-            _format_value(record["divergence_maximum"], args),
-            canonical.get("kind", ""),
-            _format_value(canonical.get("c1"), args),
-            _format_value(canonical.get("c2"), args),
-            _format_value(canonical.get("d"), args),
-            _format_value(canonical.get("delta_I"), args),
-            _format_value(canonical.get("p1"), args),
-            _format_value(canonical.get("omega"), args),
-            _format_value(canonical.get("consistent"), args),
-        ])
-    return _render_table(header, rows, args)
+            record["divergence_maximum"],
+            *((record["canonical"] or {}).get(key) for key in ("kind", *_CANONICAL_COLUMNS)),
+        ]
+        for record in payload
+    )
+    return _render(args, payload, header, rows)
 
 
 def _cmd_omega(args) -> str:
     result = analysis.crossover_analysis(args.n, args.d)
-    if args.format == "json":
-        payload = {
-            "n": result.n,
-            "d": result.d,
-            "omega": _json_value(result.omega, args),
-            "sign_changes": result.sign_changes,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    header = ["n", "d", "omega", "sign_changes"]
-    row = [
-        str(result.n),
-        str(result.d),
-        _format_value(result.omega, args),
-        str(result.sign_changes),
-    ]
-    return _render_table(header, [row], args)
+    payload = {
+        "n": result.n,
+        "d": result.d,
+        "omega": result.omega,
+        "sign_changes": result.sign_changes,
+    }
+    return _render(args, payload, list(payload), [payload.values()])
 
 
 def _cmd_sweep(args) -> str:
@@ -414,19 +365,8 @@ def _cmd_sweep(args) -> str:
     if not grid:
         raise ValueError(f"step {args.step} leaves no grid points inside (0.5, 1)")
     points = analysis.sweep_delta_curves(args.n, args.d, grid)
-    fields = list(analysis.SweepPoint._fields)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "d": args.d,
-            "points": [
-                {field: _json_value(value, args) for field, value in zip(fields, point)}
-                for point in points
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    rows = [[_format_value(value, args) for value in point] for point in points]
-    return _render_table(fields, rows, args)
+    payload = {"n": args.n, "d": args.d, "points": [point._asdict() for point in points]}
+    return _render(args, payload, analysis.SweepPoint._fields, points)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

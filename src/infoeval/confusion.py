@@ -230,7 +230,8 @@ def parse_matrices(raw: str, format: str = "json") -> list[AugmentedConfusionMat
     JSON accepts a bare 2-D array, an object
     ``{"name": str?, "matrix": [[...], ...]}``, or an array of either
     (a batch).  CSV holds a single matrix: one line per class, an
-    optional non-numeric header line, and an optional reject column.
+    optional header (a first line with no numeric cell), and an optional
+    reject column.  A cell such as ``0.0`` is a count, as in JSON.
     """
     if format == "json":
         try:
@@ -262,20 +263,29 @@ def parse_matrix(raw: str, format: str = "json") -> AugmentedConfusionMatrix:
     return matrices[0]
 
 
+def _csv_number(cell: str):
+    # int first, so large counts stay exact; None for a non-numeric cell
+    for number in (int, float):
+        try:
+            return number(cell)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_csv(raw: str) -> AugmentedConfusionMatrix:
     rows = []
+    first = True
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        cells = [cell.strip() for cell in line.split(",")]
-        try:
-            row = [int(cell) for cell in cells]
-        except ValueError:
-            if not rows:
-                continue  # non-numeric header line
-            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
-        rows.append(row)
+        cells = [_csv_number(cell.strip()) for cell in line.split(",")]
+        if None not in cells:
+            rows.append(cells)  # _as_count takes 0.0 as 0 and names a 0.5
+        elif not (first and all(cell is None for cell in cells)):
+            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}")
+        first = False
     if not rows:
         raise ValueError("no numeric rows found")
     return AugmentedConfusionMatrix.from_rows(rows)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .confusion import AugmentedConfusionMatrix, parse_matrices
 
-__all__ = ["available", "fixtures_dir", "load"]
+__all__ = ["available", "fixtures_dir", "load", "resolve"]
 
 ENV_VAR = "INFOEVAL_FIXTURES"
 
@@ -38,13 +38,18 @@ def available() -> tuple[str, ...]:
     return tuple(sorted(path.stem for path in fixtures_dir().glob("*.json")))
 
 
+def resolve(name: str) -> Path:
+    """The file a name refers to: a path, a fixture file name, or a stem."""
+    path = Path(name)
+    if path.is_file():
+        return path
+    for candidate in (fixtures_dir() / name, fixtures_dir() / f"{name}.json"):
+        if candidate.is_file():
+            return candidate
+    known = ", ".join(available()) or "(none)"
+    raise ValueError(f"{name}: no such file or bundled fixture; available: {known}")
+
+
 def load(name: str) -> list[AugmentedConfusionMatrix]:
     """Load matrices from a fixture stem, fixture file name, or path."""
-    path = Path(name)
-    if not path.is_file():
-        stem = name if name.endswith(".json") else f"{name}.json"
-        path = fixtures_dir() / stem
-        if not path.is_file():
-            known = ", ".join(available()) or "(none)"
-            raise ValueError(f"unknown fixture {name!r}; available: {known}")
-    return parse_matrices(path.read_text(), "json")
+    return parse_matrices(resolve(name).read_text(), "json")

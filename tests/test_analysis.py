@@ -412,3 +412,27 @@ class TestSweep:
             sweep_delta_curves(100, 1, [0.5])
         with pytest.raises(ValueError, match="outside"):
             sweep_delta_curves(100, 1, [1.0])
+
+
+class TestKindsAsCells:
+    def test_values_and_moved_cells(self):
+        cells = {kind.value: (kind.row, kind.col) for kind in CanonicalKind}
+        assert cells == {
+            "small-class-error": (1, 0),
+            "large-class-error": (0, 1),
+            "small-class-reject": (1, 2),
+            "large-class-reject": (0, 2),
+        }
+
+
+class TestCrossoverAtFourD:
+    """n = 4d puts the exact crossing p1 = 0.75 on a scan grid point."""
+
+    @pytest.mark.parametrize("n, d", [(8, 2), (100, 25), (400, 100)])
+    def test_one_bracket(self, n, d):
+        result = crossover_analysis(n, d)
+        assert result.sign_changes == 1
+        assert result.omega == pytest.approx(0.75, abs=1e-9)
+
+    def test_rank_canonical_consistent(self):
+        assert rank_canonical(60, 40, 25).consistent

@@ -348,3 +348,30 @@ class TestFixtureResolution:
         code, out, _ = run_cli(capsys, "eval", "mine", "--measures", "NI1")
         assert code == 0
         assert "| Q |" in out
+
+
+class TestCrossoverAtFourD:
+    def test_omega_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "omega", "--n", "8", "--d", "2",
+                                 "--format", "json", "--precision", "raw")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["sign_changes"] == 1
+        assert payload["omega"] == pytest.approx(0.75, abs=1e-9)
+
+    def test_theorems_on_quad_exits_0(self, capsys, tmp_path):
+        quad = tmp_path / "quad.json"
+        quad.write_text(json.dumps([
+            [[35, 25, 0], [0, 40, 0]],
+            [[60, 0, 0], [25, 15, 0]],
+            [[60, 0, 0], [0, 15, 25]],
+            [[35, 0, 25], [0, 40, 0]],
+        ]))
+        code, out, err = run_cli(capsys, "theorems", str(quad), "--format", "json")
+        assert code == 0, err
+        records = json.loads(out)
+        assert all(r["canonical"]["consistent"] for r in records)
+        assert {r["canonical"]["kind"] for r in records} == {
+            "small-class-error", "large-class-error",
+            "small-class-reject", "large-class-reject",
+        }

@@ -224,3 +224,20 @@ class TestParseMatrix:
         raw = json.dumps([[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
         with pytest.raises(ValueError, match="expected a single matrix, found 2"):
             parse_matrix(raw)
+
+
+class TestCsvHeaderRule:
+    """A header is a first line with no numeric cell; decimals are counts."""
+
+    def test_typo_in_first_row_names_the_line(self):
+        with pytest.raises(ValueError, match="line 1: non-numeric"):
+            parse_matrices("1,x,0\n5,1,0\n0,5,1", format="csv")
+
+    def test_integral_decimal_is_a_count(self):
+        (m,) = parse_matrices("5,0.0,0\n0,5,0", format="csv")
+        assert m.counts == ((5, 0, 0), (0, 5, 0))
+        assert all(type(c) is int for row in m.counts for c in row)
+
+    def test_fractional_count_names_the_cell(self):
+        with pytest.raises(ValueError, match="row 1, column 2: count must be an integer"):
+            parse_matrices("5,0.5,0\n0,5,0", format="csv")

@@ -42,3 +42,14 @@ def test_environment_override(tmp_path, monkeypatch):
     assert fixtures.available() == ("custom",)
     (loaded,) = fixtures.load("custom")
     assert loaded.counts == ((1, 0, 0), (0, 1, 0))
+
+
+def test_resolve_order(tmp_path, monkeypatch):
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    (tmp_path / "a.json").write_text("[[1, 0], [0, 1]]")
+    (tmp_path / "b.csv").write_text("1,0\n0,1\n")
+    assert fixtures.resolve("a") == tmp_path / "a.json"
+    assert fixtures.resolve("a.json") == tmp_path / "a.json"
+    assert fixtures.resolve("b.csv") == tmp_path / "b.csv"
+    given = tmp_path / "a.json"
+    assert fixtures.resolve(str(given)) == given
