@@ -1,0 +1,66 @@
+"""The per-matrix evaluation record computes each shared quantity once,
+and only when a selected measure reads it."""
+import collections
+
+import pytest
+
+from infoeval import CATALOG, AugmentedConfusionMatrix, MeasureId, evaluate, evaluate_all
+from infoeval import measures
+
+_KERNELS = (
+    "mutual_information",
+    "modified_mutual_information",
+    "joint_entropy",
+    "cross_entropy",
+    "performance_summary",
+)
+
+_MATRICES = [
+    ((90, 0, 0), (2, 8, 0)),
+    ((85, 3, 2), (1, 7, 2)),
+    ((0, 0, 5), (0, 0, 5)),
+    ((70, 5, 3, 2), (1, 12, 1, 1), (0, 1, 3, 1)),
+]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the kernel calls measures makes, and distributions() builds."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _KERNELS:
+        monkeypatch.setattr(measures, name, counting(name, getattr(measures, name)))
+    monkeypatch.setattr(
+        AugmentedConfusionMatrix,
+        "distributions",
+        counting("distributions", AugmentedConfusionMatrix.distributions),
+    )
+    return counts
+
+
+@pytest.mark.parametrize("rows", _MATRICES)
+def test_full_catalog_computes_each_quantity_once(calls, rows):
+    matrix = AugmentedConfusionMatrix.from_rows(rows)
+    values = evaluate_all(matrix, CATALOG, strict=False)
+    assert len(values) == len(CATALOG)
+    assert calls["cross_entropy"] == 2  # H(T;Y) and H(Y;T)
+    for name in (*_KERNELS, "distributions"):
+        if name != "cross_entropy":
+            assert calls[name] <= 1, name
+
+
+@pytest.mark.parametrize("rows", _MATRICES)
+def test_single_ni2_reads_only_what_it_needs(calls, rows):
+    evaluate(MeasureId.NI2, AugmentedConfusionMatrix.from_rows(rows))
+    assert calls["mutual_information"] == 0
+    assert calls["joint_entropy"] == 0
+    assert calls["cross_entropy"] == 0
+    assert calls["modified_mutual_information"] == 1
+    assert calls["distributions"] == 1
