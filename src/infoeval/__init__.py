@@ -9,125 +9,24 @@ predicted classes, plus a reject column) into:
   their cross-over share, cell-level sensitivities, and detectors for
   the matrix patterns where the measures reach local extrema.
 
-See :mod:`infoeval.cli` for the command-line interface.
+Each module's ``__all__`` is the list of its public names; the package
+exports exactly those.  See :mod:`infoeval.cli` for the command-line
+interface.
 """
-from .analysis import (
-    CanonicalKind,
-    CanonicalModel,
-    CanonicalRanking,
-    CrossoverResult,
-    SensitivityVector,
-    SweepPoint,
-    classify_canonical,
-    crossover_analysis,
-    crossover_gap,
-    crossover_omega,
-    delta_I,
-    detect_divergence_maximum,
-    detect_mi_local_minimum,
-    first_order_delta_estimate,
-    misclassification_cost,
-    rank_canonical,
-    rejection_cost,
-    sensitivity,
-    sweep_delta_curves,
-)
-from .confusion import (
-    AugmentedConfusionMatrix,
-    BinaryConfusion,
-    EmpiricalDistribution,
-    empirical_distributions,
-    parse_matrices,
-    parse_matrix,
-    to_binary,
-)
-from .infocore import (
-    SINGULAR,
-    DivergenceKind,
-    cross_entropy,
-    divergence,
-    is_singular,
-    joint_entropy,
-    modified_mutual_information,
-    mutual_information,
-    shannon_entropy,
-)
-from .measures import (
-    CATALOG,
-    InvariantViolation,
-    MeasureGroup,
-    MeasureId,
-    MeasureValue,
-    PerformanceSummary,
-    evaluate,
-    evaluate_all,
-    measures_in_group,
-    parse_selection,
-    performance_summary,
-)
-from .ranking import (
-    MetaOrder,
-    RankReport,
-    binary_expected_order,
-    check_meta_order,
-    rank,
-    three_class_expected_order,
-)
+from . import analysis, confusion, infocore, measures, ranking
+from .analysis import *
+from .confusion import *
+from .infocore import *
+from .measures import *
+from .ranking import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedConfusionMatrix",
-    "BinaryConfusion",
-    "CATALOG",
-    "CanonicalKind",
-    "CanonicalModel",
-    "CanonicalRanking",
-    "CrossoverResult",
-    "DivergenceKind",
-    "EmpiricalDistribution",
-    "InvariantViolation",
-    "MeasureGroup",
-    "MeasureId",
-    "MeasureValue",
-    "MetaOrder",
-    "PerformanceSummary",
-    "RankReport",
-    "SINGULAR",
-    "SensitivityVector",
-    "SweepPoint",
-    "binary_expected_order",
-    "check_meta_order",
-    "classify_canonical",
-    "cross_entropy",
-    "crossover_analysis",
-    "crossover_gap",
-    "crossover_omega",
-    "delta_I",
-    "detect_divergence_maximum",
-    "detect_mi_local_minimum",
-    "divergence",
-    "empirical_distributions",
-    "evaluate",
-    "evaluate_all",
-    "first_order_delta_estimate",
-    "is_singular",
-    "joint_entropy",
-    "measures_in_group",
-    "misclassification_cost",
-    "modified_mutual_information",
-    "mutual_information",
-    "parse_matrices",
-    "parse_matrix",
-    "parse_selection",
-    "performance_summary",
-    "rank",
-    "rank_canonical",
-    "rejection_cost",
-    "sensitivity",
-    "shannon_entropy",
-    "sweep_delta_curves",
-    "three_class_expected_order",
-    "to_binary",
+    *analysis.__all__,
+    *confusion.__all__,
+    *infocore.__all__,
+    *measures.__all__,
+    *ranking.__all__,
     "__version__",
 ]

@@ -50,6 +50,7 @@ __all__ = [
 
 _F_TOL = 1e-12
 _P_TOL = 1e-10
+_SCAN_POINTS = 1000  # grid intervals of the cross-over sign-change scan
 
 
 class CanonicalKind(Enum):
@@ -213,7 +214,7 @@ class CrossoverResult:
         return len(self.brackets)
 
 
-def crossover_analysis(n: int, d: int, scan_points: int = 1000) -> CrossoverResult:
+def crossover_analysis(n: int, d: int) -> CrossoverResult:
     """Locate where the large-class-error and small-class-reject costs cross.
 
     Scans p1 over (0.5, 1) for sign changes of :func:`crossover_gap`
@@ -227,11 +228,11 @@ def crossover_analysis(n: int, d: int, scan_points: int = 1000) -> CrossoverResu
         raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
     eps = 1e-6
     lo, hi = 0.5 + eps, 1.0 - eps
-    xs = [lo + (hi - lo) * k / scan_points for k in range(scan_points + 1)]
+    xs = [lo + (hi - lo) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)]
     fs = [crossover_gap(x, n, d) for x in xs]
     brackets = tuple(
         (xs[k], xs[k + 1])
-        for k in range(scan_points)
+        for k in range(_SCAN_POINTS)
         if (fs[k] < 0.0) != (fs[k + 1] < 0.0)
     )
     if not brackets:

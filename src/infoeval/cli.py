@@ -41,34 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _rounding(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value <= 12:
-        raise argparse.ArgumentTypeError("rounding must be between 0 and 12")
-    return value
+def _checked(convert, valid, problem: str):
+    """An argparse type: text that ``convert`` takes and ``valid`` accepts."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(problem.format(text))
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+_rounding = _checked(int, lambda v: 0 <= v <= 12, "rounding must be between 0 and 12")
+_positive_int = _checked(int, lambda v: v > 0, "must be positive, got {}")
+_positive_float = _checked(float, lambda v: v > 0.0, "must be positive, got {}")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -172,9 +164,8 @@ def _load_models(inputs: Sequence[str]) -> list[AugmentedConfusionMatrix]:
     models: list[AugmentedConfusionMatrix] = []
     for raw in inputs:
         path = fixtures.resolve(raw)
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
         try:
-            models.extend(parse_matrices(path.read_text(), fmt))
+            models.extend(parse_matrices(path.read_text(), fixtures.input_format(path)))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return [

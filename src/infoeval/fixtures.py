@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .confusion import AugmentedConfusionMatrix, parse_matrices
 
-__all__ = ["available", "fixtures_dir", "load", "resolve"]
+__all__ = ["available", "fixtures_dir", "input_format", "load", "resolve"]
 
 ENV_VAR = "INFOEVAL_FIXTURES"
 
@@ -50,6 +50,12 @@ def resolve(name: str) -> Path:
     raise ValueError(f"{name}: no such file or bundled fixture; available: {known}")
 
 
+def input_format(path: Path) -> str:
+    """The format an input file is parsed as: CSV by its suffix, else JSON."""
+    return "csv" if path.suffix.lower() == ".csv" else "json"
+
+
 def load(name: str) -> list[AugmentedConfusionMatrix]:
     """Load matrices from a fixture stem, fixture file name, or path."""
-    return parse_matrices(resolve(name).read_text(), "json")
+    path = resolve(name)
+    return parse_matrices(path.read_text(), input_format(path))

@@ -15,12 +15,17 @@ take one of three shapes:
 
 The conventions 0*log2(0) = 0, 0*log2(0/0) = 0 and 0^2/0 = 0 are
 applied wherever a zero coefficient makes the offending term vanish.
+
+Every sum adds its terms left to right in a plain loop.  The built-in
+``sum`` compensates float rounding from Python 3.12 on, which would
+make the last digits of a result depend on the interpreter version.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Union
 
 from .confusion import EmpiricalDistribution
@@ -101,7 +106,18 @@ def shannon_entropy(p: Sequence[float]) -> float:
 
 def _entropy(p) -> float:
     # unchecked: for callers that have checked p once already
-    return -sum(x * math.log2(x) for x in p if x > 0.0)
+    total = 0.0
+    for x in p:
+        if x > 0.0:
+            total += x * math.log2(x)
+    return -total
+
+
+def _sum(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def mutual_information(d: EmpiricalDistribution) -> float:
@@ -134,9 +150,7 @@ def modified_mutual_information(d: EmpiricalDistribution) -> float:
 
 def joint_entropy(d: EmpiricalDistribution) -> float:
     """H(T,Y) of the joint table."""
-    return -sum(
-        pij * math.log2(pij) for row in d.joint for pij in row if pij > 0.0
-    )
+    return _entropy(chain.from_iterable(d.joint))
 
 
 def cross_entropy(p: Sequence[float], q: Sequence[float]) -> float:
@@ -176,31 +190,31 @@ def _chi_squared(p, q) -> ExtendedValue:
 
 
 def _squared_euclidean(p, q):
-    return sum((a - b) ** 2 for a, b in zip(p, q))
+    return _sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 def _cauchy_schwarz(p, q) -> ExtendedValue:
-    dot = sum(a * b for a, b in zip(p, q))
+    dot = _sum(a * b for a, b in zip(p, q))
     if dot == 0.0:
         return SINGULAR
-    pp = sum(a * a for a in p)
-    qq = sum(b * b for b in q)
+    pp = _sum(a * a for a in p)
+    qq = _sum(b * b for b in q)
     return math.log2(pp * qq / dot**2)
 
 
 def _bhattacharyya(p, q) -> ExtendedValue:
-    overlap = sum(math.sqrt(a * b) for a, b in zip(p, q))
+    overlap = _sum(math.sqrt(a * b) for a, b in zip(p, q))
     if overlap == 0.0:
         return SINGULAR
     return -math.log2(overlap)
 
 
 def _hellinger(p, q):
-    return sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q))
+    return _sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q))
 
 
 def _variation(p, q):
-    return sum(abs(a - b) for a, b in zip(p, q))
+    return _sum(abs(a - b) for a, b in zip(p, q))
 
 
 def _symmetric(forward, backward) -> ExtendedValue:
@@ -232,7 +246,9 @@ class _Pair:
     """Two distributions on one support, already checked.
 
     Each directed KL and chi-squared value is computed on first use and
-    kept, so the divergences built from the same value share it.
+    kept, so the divergences built from the same value share it.  The
+    per-matrix record of :mod:`infoeval.measures` is a _Pair of p(t)
+    and p(y).
     """
 
     def __init__(self, p, q):

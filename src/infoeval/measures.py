@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 from .confusion import AugmentedConfusionMatrix
@@ -44,6 +44,7 @@ from .infocore import (
 )
 
 __all__ = [
+    "CATALOG",
     "InvariantViolation",
     "MeasureGroup",
     "MeasureId",
@@ -51,6 +52,7 @@ __all__ = [
     "PerformanceSummary",
     "evaluate",
     "evaluate_all",
+    "measures_in_group",
     "parse_selection",
     "performance_summary",
 ]
@@ -267,7 +269,7 @@ def _mean(a: float, b: ExtendedValue) -> ExtendedValue:
 
 def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
     """exp(-D) of one divergence between p(t) and p(y), or SINGULAR."""
-    d = divergence(r.pair)
+    d = divergence(r)
     return SINGULAR if d is SINGULAR else math.exp(-d)
 
 
@@ -276,50 +278,31 @@ def _ce_ratio(h: float, ce: float) -> float:
     return 0.0 if math.isinf(ce) else h / ce
 
 
-def _distributions(r: "_Record"):
-    d = r.matrix.distributions()
-    _check_simplex(d.row_marginal, "p(t)")
-    _check_simplex(d.col_marginal, "p(y)")
-    return d
+class _Record(_Pair):
+    """One matrix's shared quantities, each computed on first read and kept.
 
-
-# The shared quantities of one matrix.  p_t is p(t) padded with a zero
-# at the reject position, so it shares p(y)'s support; "ce" holds
-# (H(T;Y), H(Y;T)).
-_QUANTITIES: dict[str, Callable[["_Record"], object]] = {
-    "d": _distributions,
-    "p_t": lambda r: r.d.row_marginal_padded,
-    "p_y": lambda r: r.d.col_marginal,
-    "h_t": lambda r: _entropy(r.d.row_marginal),
-    "h_y": lambda r: _entropy(r.p_y),
-    "h_joint": lambda r: joint_entropy(r.d),
-    "i": lambda r: mutual_information(r.d),
-    "i_m": lambda r: modified_mutual_information(r.d),
-    "ce": lambda r: (cross_entropy(r.p_t, r.p_y), cross_entropy(r.p_y, r.p_t)),
-    "pair": lambda r: _Pair(r.p_t, r.p_y),
-    "perf": lambda r: performance_summary(r.matrix),
-}
-
-
-class _Record:
-    """One matrix's shared quantities, each computed on first use.
-
-    Reading a missing attribute computes it from _QUANTITIES and keeps
-    it, so an evaluation pays only for the quantities its formulas read
-    and computes none of them twice.
+    The distributions are built and checked once.  As a _Pair, p is
+    p(t) padded with a zero at the reject position, so it shares the
+    support of q = p(y), and the directed KL and chi-squared values are
+    kept alongside the entropies.  An evaluation pays only for the
+    quantities its formulas read and computes none of them twice.
     """
 
     def __init__(self, matrix: AugmentedConfusionMatrix):
         self.matrix = matrix
+        self.d = d = matrix.distributions()
+        _check_simplex(d.row_marginal, "p(t)")
+        _check_simplex(d.col_marginal, "p(y)")
+        _Pair.__init__(self, d.row_marginal_padded, d.col_marginal)
 
-    def __getattr__(self, name: str):
-        try:
-            compute = _QUANTITIES[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = compute(self)
-        setattr(self, name, value)
-        return value
+    h_t = cached_property(lambda r: _entropy(r.d.row_marginal))
+    h_y = cached_property(lambda r: _entropy(r.q))
+    h_joint = cached_property(lambda r: joint_entropy(r.d))
+    i = cached_property(lambda r: mutual_information(r.d))
+    i_m = cached_property(lambda r: modified_mutual_information(r.d))
+    # (H(T;Y), H(Y;T))
+    ce = cached_property(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
+    perf = cached_property(lambda r: performance_summary(r.matrix))
 
 
 # One formula per catalog measure.  The 2-class-only rates are None

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from infoeval import fixtures
+from infoeval import MeasureId, cli, evaluate, fixtures
 
 
 def test_available_lists_bundled_sets():
@@ -53,3 +53,22 @@ def test_resolve_order(tmp_path, monkeypatch):
     assert fixtures.resolve("b.csv") == tmp_path / "b.csv"
     given = tmp_path / "a.json"
     assert fixtures.resolve(str(given)) == given
+
+
+def test_input_format_by_suffix(tmp_path):
+    assert fixtures.input_format(tmp_path / "m.csv") == "csv"
+    assert fixtures.input_format(tmp_path / "M.CSV") == "csv"
+    assert fixtures.input_format(tmp_path / "m.json") == "json"
+    assert fixtures.input_format(tmp_path / "m.txt") == "json"
+
+
+def test_load_reads_csv_like_the_cli(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("pred1,pred2,reject\n90,3,2\n1,8,1\n")
+    (loaded,) = fixtures.load(str(path))
+    assert loaded.counts == ((90, 3, 2), (1, 8, 1))
+    assert cli.main(
+        ["eval", str(path), "--measures", "NI2", "--format", "json", "--precision", "raw"]
+    ) == 0
+    (printed,) = json.loads(capsys.readouterr().out)
+    assert printed["measures"]["NI2"] == evaluate(MeasureId.NI2, loaded).value

@@ -1,0 +1,146 @@
+"""Kernels and measures against an independent numpy/scipy reference.
+
+Matrices have m <= 6 classes and counts from 0 to 10^6 mixed in one
+table, with the reject column either empty or not.  Every kernel value
+must match the reference within 1e-12 (relative and absolute), and
+SINGULAR or inf must appear exactly where the reference is infinite.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import rel_entr
+from scipy.stats import entropy
+
+from infoeval import (
+    SINGULAR,
+    AugmentedConfusionMatrix,
+    DivergenceKind,
+    MeasureId,
+    cross_entropy,
+    divergence,
+    evaluate_all,
+    joint_entropy,
+    modified_mutual_information,
+    mutual_information,
+    shannon_entropy,
+)
+
+_LN2 = math.log(2.0)
+_TOL = 1e-12
+
+_count = st.one_of(
+    st.just(0),
+    st.integers(1, 9),
+    st.integers(10, 9_999),
+    st.integers(10_000, 10**6),
+)
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.integers(2, 6))
+    rejects = draw(st.booleans())
+    rows = []
+    for _ in range(m):
+        row = draw(st.lists(_count, min_size=m, max_size=m).filter(any))
+        rows.append((*row, draw(_count) if rejects else 0))
+    return AugmentedConfusionMatrix(tuple(rows))
+
+
+def _close(value, expected, infinite=SINGULAR):
+    """value is within tolerance of a finite reference, and is the given
+    marker (SINGULAR, or inf for cross entropies) exactly where it is inf."""
+    if math.isinf(expected):
+        return value == infinite
+    return value is not SINGULAR and math.isclose(
+        value, expected, rel_tol=_TOL, abs_tol=_TOL
+    )
+
+
+def _kl(p, q):
+    return math.inf if np.any((p > 0) & (q == 0)) else rel_entr(p, q).sum() / _LN2
+
+
+def _chi2(p, q):
+    if np.any((p > 0) & (q == 0)):
+        return math.inf
+    keep = q > 0
+    return float((((p - q) ** 2)[keep] / q[keep]).sum())
+
+
+def _reference(matrix):
+    counts = np.array(matrix.counts, dtype=np.int64)
+    n = counts.sum()
+    joint = counts / n
+    p_t = counts.sum(axis=1) / n
+    p_y = counts.sum(axis=0) / n
+    p = np.append(p_t, 0.0)  # p(t) on p(y)'s support
+    mi_terms = rel_entr(joint, np.outer(p_t, p_y)) / _LN2
+    h_t, h_y = entropy(p_t, base=2), entropy(p_y, base=2)
+    return {
+        "h_t": h_t,
+        "h_y": h_y,
+        "h_joint": entropy(joint.ravel(), base=2),
+        "i": mi_terms.sum(),
+        "i_m": mi_terms[:, :-1].sum(),
+        # H(a;b) = H(a) + KL(a||b)
+        "ce": h_t + _kl(p, p_y),
+        "ce_back": h_y + _kl(p_y, p),
+        "kl": _kl(p, p_y),
+        "kl_back": _kl(p_y, p),
+        "chi2": _chi2(p, p_y),
+        "chi2_back": _chi2(p_y, p),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernels_match_reference(matrix):
+    ref = _reference(matrix)
+    d = matrix.distributions()
+    p, q = d.row_marginal_padded, d.col_marginal
+    assert _close(shannon_entropy(d.row_marginal), ref["h_t"])
+    assert _close(shannon_entropy(q), ref["h_y"])
+    assert _close(joint_entropy(d), ref["h_joint"])
+    assert _close(mutual_information(d), ref["i"])
+    assert _close(modified_mutual_information(d), ref["i_m"])
+    assert _close(cross_entropy(p, q), ref["ce"], math.inf)
+    assert _close(cross_entropy(q, p), ref["ce_back"], math.inf)
+    kl, chi2 = DivergenceKind.KULLBACK_LEIBLER, DivergenceKind.PEARSON_CHI_SQUARED
+    assert _close(divergence(kl, p, q), ref["kl"])
+    assert _close(divergence(kl, q, p), ref["kl_back"])
+    assert _close(divergence(chi2, p, q), ref["chi2"])
+    assert _close(divergence(chi2, q, p), ref["chi2_back"])
+
+
+def _exp_neg(d):
+    return math.inf if math.isinf(d) else math.exp(-d)
+
+
+def _resistor(kl, kl_back):
+    if math.isinf(kl) or math.isinf(kl_back) or kl + kl_back == 0.0:
+        return math.inf
+    return math.exp(-(kl * kl_back / (kl + kl_back)))
+
+
+_MEASURES = {
+    MeasureId.NI1: lambda r: r["i"] / r["h_t"],
+    MeasureId.NI2: lambda r: r["i_m"] / r["h_t"],
+    MeasureId.NI12: lambda r: _exp_neg(r["kl"]),
+    MeasureId.NI14: lambda r: _exp_neg(r["chi2"]),
+    MeasureId.NI17: lambda r: _exp_neg(r["kl"] + r["kl_back"]),
+    MeasureId.NI19: lambda r: _exp_neg(r["chi2"] + r["chi2_back"]),
+    MeasureId.NI20: lambda r: _resistor(r["kl"], r["kl_back"]),
+    MeasureId.NI21: lambda r: 0.0 if math.isinf(r["ce"]) else r["h_t"] / r["ce"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_measures_match_formulas_over_reference(matrix):
+    # inf in _MEASURES stands for SINGULAR
+    ref = _reference(matrix)
+    for item in evaluate_all(matrix, list(_MEASURES)):
+        assert _close(item.value, _MEASURES[item.measure](ref)), item.measure
