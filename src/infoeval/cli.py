@@ -284,7 +284,9 @@ def _cmd_rank(args) -> str:
     return _render(args, payload, ["measure", "model", "value", "letter"], rows)
 
 
-def _theorem_record(model: AugmentedConfusionMatrix) -> dict:
+def _theorem_record(model: AugmentedConfusionMatrix, rankings: dict) -> dict:
+    """One model's theorems; ``rankings`` holds the canonical ranking of
+    each (c1, c2, d) split seen so far, shared by the models of a split."""
     blocks = analysis.detect_mi_local_minimum(model)
     record = {
         "name": model.model_name,
@@ -295,7 +297,10 @@ def _theorem_record(model: AugmentedConfusionMatrix) -> dict:
     }
     canonical = analysis.classify_canonical(model)
     if canonical is not None:
-        ranking = analysis.rank_canonical(canonical.c1, canonical.c2, canonical.d)
+        split = (canonical.c1, canonical.c2, canonical.d)
+        if split not in rankings:
+            rankings[split] = analysis.rank_canonical(*split)
+        ranking = rankings[split]
         record["canonical"] = {
             "kind": canonical.kind.value,
             "c1": canonical.c1,
@@ -315,7 +320,8 @@ _CANONICAL_COLUMNS = ("c1", "c2", "d", "delta_I", "p1", "omega", "consistent")
 
 
 def _cmd_theorems(args) -> str:
-    payload = [_theorem_record(model) for model in _load_models(args.inputs)]
+    rankings: dict = {}
+    payload = [_theorem_record(model, rankings) for model in _load_models(args.inputs)]
     header = [
         "model", "mi_local_minimum", "blocks", "divergence_maximum",
         "canonical_kind", *_CANONICAL_COLUMNS,

@@ -13,7 +13,8 @@ The package ships a small set of JSON fixture files (see the
   rates but different reject placement.
 
 Set the ``INFOEVAL_FIXTURES`` environment variable to point at an
-alternate fixture directory.
+alternate fixture directory.  A fixture there is a ``.json`` or
+``.csv`` file, loadable by its stem as the bundled ones are.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ __all__ = ["available", "fixtures_dir", "input_format", "load", "resolve"]
 
 ENV_VAR = "INFOEVAL_FIXTURES"
 
+# fixture file suffixes, in the order a bare stem is tried
+_SUFFIXES = (".json", ".csv")
+
 
 def fixtures_dir() -> Path:
     override = os.environ.get(ENV_VAR)
@@ -35,15 +39,19 @@ def fixtures_dir() -> Path:
 
 
 def available() -> tuple[str, ...]:
-    return tuple(sorted(path.stem for path in fixtures_dir().glob("*.json")))
+    folder = fixtures_dir()
+    return tuple(sorted({
+        path.stem for suffix in _SUFFIXES for path in folder.glob(f"*{suffix}")
+    }))
 
 
 def resolve(name: str) -> Path:
-    """The file a name refers to: a path, a fixture file name, or a stem."""
+    """The file a name refers to: a path, a fixture file name, or a stem
+    (``name.json`` first, then ``name.csv``)."""
     path = Path(name)
     if path.is_file():
         return path
-    for candidate in (fixtures_dir() / name, fixtures_dir() / f"{name}.json"):
+    for candidate in (fixtures_dir() / f"{name}{suffix}" for suffix in ("", *_SUFFIXES)):
         if candidate.is_file():
             return candidate
     known = ", ".join(available()) or "(none)"

@@ -51,6 +51,10 @@ def test_resolve_order(tmp_path, monkeypatch):
     assert fixtures.resolve("a") == tmp_path / "a.json"
     assert fixtures.resolve("a.json") == tmp_path / "a.json"
     assert fixtures.resolve("b.csv") == tmp_path / "b.csv"
+    assert fixtures.resolve("b") == tmp_path / "b.csv"
+    (tmp_path / "a.csv").write_text("1,0\n0,1\n")
+    assert fixtures.resolve("a") == tmp_path / "a.json"  # JSON before CSV
+    assert fixtures.available() == ("a", "b")
     given = tmp_path / "a.json"
     assert fixtures.resolve(str(given)) == given
 
@@ -72,3 +76,17 @@ def test_load_reads_csv_like_the_cli(tmp_path, capsys):
     ) == 0
     (printed,) = json.loads(capsys.readouterr().out)
     assert printed["measures"]["NI2"] == evaluate(MeasureId.NI2, loaded).value
+
+
+def test_csv_only_fixture_loads_by_stem(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    (tmp_path / "b.csv").write_text("90,3,2\n1,8,1\n")
+    assert fixtures.available() == ("b",)
+    (loaded,) = fixtures.load("b")
+    assert loaded == fixtures.load("b.csv")[0]
+    assert loaded.counts == ((90, 3, 2), (1, 8, 1))
+    assert cli.main(["eval", "b", "--measures", "NI2", "--format", "json"]) == 0
+    (printed,) = json.loads(capsys.readouterr().out)
+    assert printed["name"] == "M1"
+    assert cli.main(["eval", "nothing"]) == 1
+    assert "available: b" in capsys.readouterr().err

@@ -4,12 +4,19 @@ Matrices have m <= 6 classes and counts from 0 to 10^6 mixed in one
 table, with the reject column either empty or not.  Every kernel value
 must match the reference within 1e-12 (relative and absolute), and
 SINGULAR or inf must appear exactly where the reference is infinite.
+Eight divergences are called through ``divergence`` in both directions:
+KL and chi-squared, plus the six other kernels (squared Euclidean,
+Cauchy-Schwarz, Bhattacharyya, Hellinger, variation, Jensen-Shannon).
+The symmetric KL, symmetric chi-squared and resistor-average forms are
+checked through the measures that combine the directed values (NI17,
+NI19, NI20).
 """
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import jensenshannon
 from scipy.special import rel_entr
 from scipy.stats import entropy
 
@@ -144,3 +151,57 @@ def test_measures_match_formulas_over_reference(matrix):
     ref = _reference(matrix)
     for item in evaluate_all(matrix, list(_MEASURES)):
         assert _close(item.value, _MEASURES[item.measure](ref)), item.measure
+
+
+# the six divergences not checked above, in numpy/scipy; the reference is
+# inf, and the kernel must be SINGULAR, exactly where the dot product
+# (Cauchy-Schwarz) or the overlap (Bhattacharyya) is zero
+_OTHER_DIVERGENCES = {
+    DivergenceKind.SQUARED_EUCLIDEAN: lambda p, q: ((p - q) ** 2).sum(),
+    DivergenceKind.CAUCHY_SCHWARZ: lambda p, q: np.log2((p @ p) * (q @ q) / (p @ q) ** 2),
+    DivergenceKind.BHATTACHARYYA: lambda p, q: -np.log2(np.sqrt(p * q).sum()),
+    DivergenceKind.HELLINGER: lambda p, q: ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(),
+    DivergenceKind.VARIATION: lambda p, q: np.abs(p - q).sum(),
+    # scipy's distance is sqrt((KL(p||m) + KL(q||m)) / 2); the kernel is
+    # the unhalved sum
+    DivergenceKind.JENSEN_SHANNON: lambda p, q: 2.0 * jensenshannon(p, q, base=2) ** 2,
+}
+
+
+def _check_other_divergences(p, q):
+    p_ref, q_ref = np.array(p), np.array(q)
+    for kind, reference in _OTHER_DIVERGENCES.items():
+        for a, b, a_ref, b_ref in ((p, q, p_ref, q_ref), (q, p, q_ref, p_ref)):
+            with np.errstate(divide="ignore"):
+                expected = float(reference(a_ref, b_ref))
+            value = divergence(kind, a, b)
+            assert _close(value, expected), (kind, a, b, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(AugmentedConfusionMatrix(((0, 0, 5), (0, 0, 5))))  # p(y) all reject
+def test_other_divergences_match_reference(matrix):
+    d = matrix.distributions()
+    _check_other_divergences(d.row_marginal_padded, d.col_marginal)
+
+
+def _simplex(counts):
+    total = sum(counts)
+    return tuple(count / total for count in counts)
+
+
+@st.composite
+def supports(draw):
+    """Two distributions on one support with zeros anywhere, so the
+    supports may overlap in part or not at all."""
+    width = draw(st.integers(2, 7))
+    vector = st.lists(_count, min_size=width, max_size=width).filter(any)
+    return _simplex(draw(vector)), _simplex(draw(vector))
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports())
+@example(((1.0, 0.0), (0.0, 1.0)))
+def test_other_divergences_singular_exactly_without_overlap(pair):
+    _check_other_divergences(*pair)
