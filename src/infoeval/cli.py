@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -100,7 +101,10 @@ def _add_measure_option(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged, and
+    # the handlers look up evaluate_all, rank and analysis at call time
     parser = _Parser(
         prog="infoeval",
         description="Evaluate and rank classifications that may reject samples.",

@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+# every share is at least 1/n, so a product of up to four shares (the
+# squared overlap of the Cauchy-Schwarz divergence) stays above 2**-1022,
+# the smallest normal float
+_MAX_TOTAL = 2**255
+
+
 def _as_count(value, where: str) -> int:
     # bool is an int subclass; keep it out of count data
     if isinstance(value, bool):
@@ -43,9 +49,10 @@ class AugmentedConfusionMatrix:
     """Validated m x (m+1) count table; the last column holds rejects.
 
     Invariants enforced at construction: at least two classes, every
-    row exactly m+1 entries, non-negative integer counts, and a
-    strictly positive total for every true class.  The totals are
-    computed once, at construction.
+    row exactly m+1 entries, non-negative integer counts, a strictly
+    positive total for every true class, and a total n below 2**255,
+    so that every share c/n and every product of up to four shares is
+    a normal float.  The totals are computed once, at construction.
     """
 
     counts: tuple[tuple[int, ...], ...]
@@ -77,11 +84,14 @@ class AugmentedConfusionMatrix:
                 raise ValueError(f"row total is zero (class {i + 1})")
             checked.append(row)
             row_totals.append(total)
+        n = sum(row_totals)
+        if n >= _MAX_TOTAL:
+            raise ValueError(f"total count {n} is too large; it must be below 2**255")
         column_totals = tuple(map(sum, zip(*checked)))
         object.__setattr__(self, "counts", tuple(checked))
         object.__setattr__(self, "row_totals", tuple(row_totals))
         object.__setattr__(self, "column_totals", column_totals)
-        object.__setattr__(self, "total", sum(row_totals))
+        object.__setattr__(self, "total", n)
         object.__setattr__(self, "reject_total", column_totals[-1])
         if self.class_labels is not None:
             labels = tuple(str(x) for x in self.class_labels)
@@ -238,6 +248,8 @@ def parse_matrices(raw: str, format: str = "json") -> list[AugmentedConfusionMat
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError("input is nested too deeply") from None
         if isinstance(data, dict):
             return [_matrix_from_json_value(data, "matrix")]
         if not isinstance(data, list) or not data:

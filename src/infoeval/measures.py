@@ -274,8 +274,11 @@ def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
 
 
 def _ce_ratio(h: float, ce: float) -> float:
-    """An entropy over a cross entropy; 0.0 when the latter is infinite."""
-    return 0.0 if math.isinf(ce) else h / ce
+    """An entropy over a cross entropy; 0.0 when the latter is infinite
+    or the entropy is zero.  A cross entropy rounds to 0 only with a
+    zero entropy: H(Y) = 0 against p(t) = (1/n, 1 - 1/n) at n >= 2**53.
+    """
+    return 0.0 if h == 0.0 or math.isinf(ce) else h / ce
 
 
 class _Record(_Pair):

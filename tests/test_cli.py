@@ -285,6 +285,19 @@ class TestErrorsAndExitCodes:
         assert code == 1
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize("command", ["eval", "rank", "theorems"])
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 50000 + "]" * 50000, "input is nested too deeply"),
+        (f"[[{10**164}, 1, 0], [1, 1, 0]]", f"total count {10**164 + 3} is too large"),
+        (f"[[{10**330}, 1, 0], [1, 1, 0]]", f"total count {10**330 + 3} is too large"),
+    ], ids=["nested", "1e164", "1e330"])
+    def test_input_beyond_float_range(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {message}")
+
     def test_rank_needs_two_models(self, capsys, tmp_path):
         single = tmp_path / "single.json"
         single.write_text("[[9, 0], [0, 9]]")

@@ -6,9 +6,13 @@ import pytest
 from infoeval import (
     AugmentedConfusionMatrix,
     BinaryConfusion,
+    MeasureId,
     empirical_distributions,
+    evaluate,
+    evaluate_all,
     parse_matrices,
     parse_matrix,
+    parse_selection,
     to_binary,
 )
 
@@ -241,3 +245,29 @@ class TestCsvHeaderRule:
     def test_fractional_count_names_the_cell(self):
         with pytest.raises(ValueError, match="row 1, column 2: count must be an integer"):
             parse_matrices("5,0.5,0\n0,5,0", format="csv")
+
+
+class TestInputLimits:
+    """Inputs beyond what the float kernels can hold fail as bad input."""
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(ValueError, match="input is nested too deeply"):
+            parse_matrices("[" * 50000 + "]" * 50000)
+
+    @pytest.mark.parametrize("big", [10**164, 10**330, 2**255 - 1],
+                             ids=["1e164", "1e330", "2**255-1"])
+    def test_total_must_be_below_2_to_the_255(self, big):
+        with pytest.raises(ValueError, match=f"total count {big + 1} is too large"):
+            AugmentedConfusionMatrix(((big, 0, 0), (0, 1, 0)))
+
+    def test_largest_total_still_evaluates(self):
+        # the squared overlap of the Cauchy-Schwarz divergence is 1/n**4
+        matrix = AugmentedConfusionMatrix(((1, 0, 0), (0, 0, 2**255 - 2)))
+        values = {item.measure.value: item.value
+                  for item in evaluate_all(matrix, parse_selection("all"), strict=False)}
+        assert values["NI11"] == 0.0
+
+    def test_cross_entropy_that_rounds_to_zero(self):
+        # H(Y) = 0 and H(Y;T) = -log2(1 - 1/n), which is 0.0 in floats
+        matrix = AugmentedConfusionMatrix(((0, 1, 0), (0, 2**60, 0)))
+        assert evaluate(MeasureId.NI22, matrix).value == 0.0
