@@ -3,7 +3,8 @@ the single-measure, selection and CLI paths to the measure values.
 
 The files under ``golden/`` hold the ``--format json --precision raw``
 output of ``eval --measures all``, ``rank --measures information`` and
-``theorems`` for every bundled fixture.  Regenerate one with, e.g.::
+``theorems`` for every bundled fixture, and of ``omega`` and ``sweep``
+at n = 100, d = 1.  Regenerate one with, e.g.::
 
     python -m infoeval.cli eval binary_models --measures all \\
         --format json --precision raw > tests/golden/eval_binary_models.json
@@ -44,6 +45,14 @@ def test_output_matches_golden(capsys, command, fixture):
     argv = [command, fixture, *COMMANDS[command], "--format", "json", "--precision", "raw"]
     assert main(argv) == 0
     expected = (GOLDEN / f"{command}_{fixture}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["omega", "sweep"])
+def test_raw_solver_output_matches_golden(capsys, command):
+    argv = [command, "--n", "100", "--d", "1", "--format", "json", "--precision", "raw"]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{command}_n100_d1.json").read_text()
     assert capsys.readouterr().out == expected
 
 
