@@ -19,9 +19,9 @@ patterns at which the information measures reach local extrema.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple, Sequence
 
 from .confusion import AugmentedConfusionMatrix, BinaryConfusion
 from .measures import MeasureId, evaluate
@@ -67,20 +67,19 @@ class CanonicalKind(Enum):
         self.col = 2 if token.endswith("reject") else 1 - self.row
 
 
-@dataclass(frozen=True)
-class CanonicalModel:
+class CanonicalModel(namedtuple("CanonicalModel", "kind c1 c2 d")):
     """One canonical departure, constrained to c1 > c2 > d > 0."""
 
     kind: CanonicalKind
     c1: int
     c2: int
     d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.c1 > self.c2 > self.d > 0:
-            raise ValueError(
-                f"need c1 > c2 > d > 0, got c1={self.c1}, c2={self.c2}, d={self.d}"
-            )
+    def __new__(cls, kind, c1, c2, d):
+        if not c1 > c2 > d > 0:
+            raise ValueError(f"need c1 > c2 > d > 0, got c1={c1}, c2={c2}, d={d}")
+        return super().__new__(cls, kind, c1, c2, d)
 
     @property
     def n(self) -> int:
@@ -131,8 +130,7 @@ def delta_I(model: CanonicalModel) -> float:
     return _departure_cost(model.kind, (model.c1, model.c2), model.d, model.n)
 
 
-@dataclass(frozen=True)
-class SensitivityVector:
+class SensitivityVector(namedtuple("SensitivityVector", "d_tn d_fp d_rn d_fn d_tp d_rp")):
     """Partials of I_M with respect to the six cell counts (bits/count).
 
     Taken on the continuous relaxation with n, c1, c2 held fixed; the
@@ -146,6 +144,7 @@ class SensitivityVector:
     d_fn: float
     d_tp: float
     d_rp: float
+    __slots__ = ()
 
 
 def sensitivity(b: BinaryConfusion) -> SensitivityVector:
@@ -202,12 +201,12 @@ def crossover_gap(p1: float, n: float, d: float) -> float:
     return misclassification_cost(c2, d, n) - rejection_cost(c2, d, n)
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(namedtuple("CrossoverResult", "n d omega brackets")):
     n: int
     d: int
     omega: float
     brackets: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
     @property
     def sign_changes(self) -> int:
@@ -277,14 +276,14 @@ _ABOVE_OMEGA = (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalRanking:
+class CanonicalRanking(namedtuple("CanonicalRanking", "models ni2 observed predicted p1 omega")):
     models: tuple[CanonicalModel, ...]
     ni2: dict[CanonicalKind, float]
     observed: tuple[CanonicalKind, ...]
     predicted: tuple[CanonicalKind, ...]
     p1: float
     omega: float
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:
@@ -387,13 +386,11 @@ def detect_divergence_maximum(matrix: AugmentedConfusionMatrix) -> bool:
     )
 
 
-class SweepPoint(NamedTuple):
-    # one cost per CanonicalKind, in enum order
-    p1: float
-    small_class_error: float
-    large_class_error: float
-    small_class_reject: float
-    large_class_reject: float
+# floats: p1, then one cost per CanonicalKind in enum order
+SweepPoint = namedtuple(
+    "SweepPoint",
+    "p1 small_class_error large_class_error small_class_reject large_class_reject",
+)
 
 
 def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoint, ...]:

@@ -22,10 +22,10 @@ import functools
 import io
 import json
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import __version__, analysis, fixtures
-from .confusion import AugmentedConfusionMatrix, parse_matrices
+from .confusion import _MAX_TOTAL, AugmentedConfusionMatrix, parse_matrices
 from .infocore import SINGULAR
 from .measures import InvariantViolation, evaluate_all, parse_selection
 from .ranking import rank
@@ -60,8 +60,12 @@ def _checked(convert, valid, problem: str):
 
 
 _rounding = _checked(int, lambda v: 0 <= v <= 12, "rounding must be between 0 and 12")
-_positive_int = _checked(int, lambda v: v > 0, "must be positive, got {}")
-_positive_float = _checked(float, lambda v: v > 0.0, "must be positive, got {}")
+# n and d share the matrix total's bound, so every cost stays in float range
+_count = _checked(int, lambda v: 0 < v < _MAX_TOTAL,
+                  "must be positive and below 2**255, got {}")
+# a sweep grid holds fewer than 0.5 / step points, so at most 10**5
+_step = _checked(float, lambda v: v >= 5e-06,
+                 "must be at least 5e-06 (at most 100000 grid points), got {}")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -142,9 +146,9 @@ def _build_parser() -> _Parser:
     p_omega = commands.add_parser(
         "omega", help="solve for the error/reject cost cross-over share"
     )
-    p_omega.add_argument("--n", type=_positive_int, required=True,
+    p_omega.add_argument("--n", type=_count, required=True,
                          help="total sample count")
-    p_omega.add_argument("--d", type=_positive_int, required=True,
+    p_omega.add_argument("--d", type=_count, required=True,
                          help="departure size (samples moved)")
     _add_output_options(p_omega)
     p_omega.set_defaults(handler=_cmd_omega)
@@ -152,11 +156,11 @@ def _build_parser() -> _Parser:
     p_sweep = commands.add_parser(
         "sweep", help="tabulate the four departure costs over class shares"
     )
-    p_sweep.add_argument("--n", type=_positive_int, required=True,
+    p_sweep.add_argument("--n", type=_count, required=True,
                          help="total sample count")
-    p_sweep.add_argument("--d", type=_positive_int, required=True,
+    p_sweep.add_argument("--d", type=_count, required=True,
                          help="departure size (samples moved)")
-    p_sweep.add_argument("--step", type=_positive_float, default=0.05,
+    p_sweep.add_argument("--step", type=_step, default=0.05,
                          help="grid step for the large-class share (default: 0.05)")
     _add_output_options(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
@@ -355,14 +359,9 @@ def _cmd_omega(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    grid = []
-    k = 1
-    while True:
-        p1 = 0.5 + k * args.step
-        if p1 >= 1.0 - 1e-12:
-            break
-        grid.append(p1)
-        k += 1
+    # 0.5 + k * step grows with k, so these are all k with a point below 1
+    shares = (0.5 + k * args.step for k in range(1, int(0.5 / args.step) + 1))
+    grid = [p1 for p1 in shares if p1 < 1.0 - 1e-12]
     if not grid:
         raise ValueError(f"step {args.step} leaves no grid points inside (0.5, 1)")
     points = analysis.sweep_delta_curves(args.n, args.d, grid)

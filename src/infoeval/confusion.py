@@ -8,9 +8,8 @@ cost analysis) consumes only this table.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "AugmentedConfusionMatrix",
@@ -44,7 +43,6 @@ def _as_count(value, where: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class AugmentedConfusionMatrix:
     """Validated m x (m+1) count table; the last column holds rejects.
 
@@ -52,19 +50,22 @@ class AugmentedConfusionMatrix:
     row exactly m+1 entries, non-negative integer counts, a strictly
     positive total for every true class, and a total n below 2**255,
     so that every share c/n and every product of up to four shares is
-    a normal float.  The totals are computed once, at construction.
+    a normal float.  The totals are computed once, at construction;
+    ``==``, ``hash`` and ``repr`` read only the first three fields.
     """
 
     counts: tuple[tuple[int, ...], ...]
-    class_labels: tuple[str, ...] | None = None
-    model_name: str | None = None
-    row_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    column_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    total: int = field(init=False, repr=False, compare=False)  # n, the sample count
-    reject_total: int = field(init=False, repr=False, compare=False)
+    class_labels: tuple[str, ...] | None
+    model_name: str | None
+    row_totals: tuple[int, ...]
+    column_totals: tuple[int, ...]
+    total: int  # n, the sample count
+    reject_total: int
+    __slots__ = ("counts", "class_labels", "model_name",
+                 "row_totals", "column_totals", "total", "reject_total")
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.counts)
+    def __init__(self, counts, class_labels=None, model_name=None):
+        rows = tuple(tuple(row) for row in counts)
         m = len(rows)
         if m < 2:
             raise ValueError(f"need at least 2 classes, got {m} row(s)")
@@ -88,18 +89,39 @@ class AugmentedConfusionMatrix:
         if n >= _MAX_TOTAL:
             raise ValueError(f"total count {n} is too large; it must be below 2**255")
         column_totals = tuple(map(sum, zip(*checked)))
-        object.__setattr__(self, "counts", tuple(checked))
-        object.__setattr__(self, "row_totals", tuple(row_totals))
-        object.__setattr__(self, "column_totals", column_totals)
-        object.__setattr__(self, "total", n)
-        object.__setattr__(self, "reject_total", column_totals[-1])
-        if self.class_labels is not None:
-            labels = tuple(str(x) for x in self.class_labels)
-            if len(labels) != m:
+        if class_labels is not None:
+            class_labels = tuple(str(x) for x in class_labels)
+            if len(class_labels) != m:
                 raise ValueError(
-                    f"expected {m} class labels, got {len(labels)}"
+                    f"expected {m} class labels, got {len(class_labels)}"
                 )
-            object.__setattr__(self, "class_labels", labels)
+        values = (tuple(checked), class_labels, model_name, tuple(row_totals),
+                  column_totals, n, column_totals[-1])  # in __slots__ order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.counts, self.class_labels, self.model_name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "{}(counts={!r}, class_labels={!r}, model_name={!r})".format(
+            type(self).__name__, *self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     @classmethod
     def from_rows(cls, rows, *, class_labels=None, model_name=None):
@@ -127,14 +149,15 @@ class AugmentedConfusionMatrix:
         return (*base, "reject")
 
     def with_name(self, name: str) -> "AugmentedConfusionMatrix":
-        return dataclasses.replace(self, model_name=name)
+        return type(self)(self.counts, self.class_labels, name)
 
     def distributions(self) -> "EmpiricalDistribution":
         return empirical_distributions(self)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(
+    namedtuple("EmpiricalDistribution", "joint row_marginal col_marginal n")
+):
     """Joint and marginal relative frequencies of a count table.
 
     ``row_marginal`` is the true-class distribution p(t) (length m);
@@ -148,6 +171,7 @@ class EmpiricalDistribution:
     row_marginal: tuple[float, ...]
     col_marginal: tuple[float, ...]
     n: int
+    __slots__ = ()
 
     @property
     def row_marginal_padded(self) -> tuple[float, ...]:
@@ -169,8 +193,7 @@ def empirical_distributions(matrix: AugmentedConfusionMatrix) -> EmpiricalDistri
     return EmpiricalDistribution(joint, row_marginal, col_marginal, n)
 
 
-@dataclass(frozen=True)
-class BinaryConfusion:
+class BinaryConfusion(namedtuple("BinaryConfusion", "tn fp rn fn tp rp")):
     """2-class layout: row 1 = negative class, row 2 = positive class.
 
     Cell map: c11=tn, c12=fp, c13=rn, c21=fn, c22=tp, c23=rp, so the
@@ -183,14 +206,15 @@ class BinaryConfusion:
     fn: int
     tp: int
     rp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("tn", "fp", "rn", "fn", "tp", "rp"):
-            value = getattr(self, name)
+    def __new__(cls, tn, fp, rn, fn, tp, rp):
+        for name, value in zip(cls._fields, (tn, fp, rn, fn, tp, rp)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if self.c1 == 0 or self.c2 == 0:
+        if tn + fp + rn == 0 or fn + tp + rp == 0:
             raise ValueError("each class needs at least one sample")
+        return super().__new__(cls, tn, fp, rn, fn, tp, rp)
 
     @property
     def c1(self) -> int:

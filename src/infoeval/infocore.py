@@ -23,10 +23,10 @@ make the last digits of a result depend on the interpreter version.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Sequence, Union
 
 from .confusion import EmpiricalDistribution
 
@@ -64,7 +64,7 @@ class _Singular:
 SINGULAR = _Singular()
 
 # Finite floats, math.inf, or SINGULAR.
-ExtendedValue = Union[float, _Singular]
+ExtendedValue = float | _Singular
 
 
 def is_singular(value) -> bool:

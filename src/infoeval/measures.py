@@ -23,10 +23,10 @@ the reference class) precision, recall, and F1 over accepted samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Iterable
 
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
@@ -178,27 +178,31 @@ def parse_selection(text: str) -> tuple[MeasureId, ...]:
     return tuple(selected)
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class MeasureValue(namedtuple("MeasureValue", "measure value")):
     measure: MeasureId
     value: ExtendedValue | None  # None: a 2-class-only rate under strict=False
+    __slots__ = ()
 
     @property
     def is_singular(self) -> bool:
         return self.value is SINGULAR
 
 
-@dataclass(frozen=True)
-class PerformanceSummary:
+class PerformanceSummary(namedtuple(
+    "PerformanceSummary",
+    "correct_rate error_rate reject_rate accuracy precision recall f1",
+    defaults=(None, None, None),
+)):
     """Conventional rates; precision/recall/f1 are None unless m = 2."""
 
     correct_rate: float
     error_rate: float
     reject_rate: float
     accuracy: float
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
+    precision: float | None
+    recall: float | None
+    f1: float | None
+    __slots__ = ()
 
 
 def performance_summary(matrix: AugmentedConfusionMatrix) -> PerformanceSummary:

@@ -15,8 +15,8 @@ gets wrong.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .infocore import SINGULAR
 from .measures import MeasureId, MeasureValue
@@ -41,13 +41,13 @@ def _letter(position: int) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(namedtuple("RankReport", "model_names measure values letters rounding")):
     model_names: tuple[str, ...]
     measure: MeasureId | None
     values: tuple[object, ...]  # floats and SINGULAR markers
     letters: tuple[str | None, ...]
     rounding: int
+    __slots__ = ()
 
     def rounded_value(self, name: str):
         value = self.values[self._index(name)]
@@ -104,20 +104,20 @@ def rank(
     )
 
 
-@dataclass(frozen=True)
-class MetaOrder:
+class MetaOrder(namedtuple("MetaOrder", "constraints")):
     """Pairwise (better, worse) expectations; irreflexive and acyclic."""
 
     constraints: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pairs = tuple((str(a), str(b)) for a, b in self.constraints)
-        object.__setattr__(self, "constraints", pairs)
+    def __new__(cls, constraints):
+        pairs = tuple((str(a), str(b)) for a, b in constraints)
         for better, worse in pairs:
             if better == worse:
                 raise ValueError(f"constraint ({better!r}, {worse!r}) is reflexive")
-        if self._has_cycle(pairs):
+        if cls._has_cycle(pairs):
             raise ValueError("constraints contain a cycle")
+        return super().__new__(cls, pairs)
 
     @staticmethod
     def _has_cycle(pairs) -> bool:

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +17,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 class TestEval:
@@ -263,6 +271,36 @@ class TestOmegaAndSweep:
         code, _, err = run_cli(capsys, "omega", "--n", "10", "--d", "5")
         assert code == 1
         assert "n > 2d" in err
+
+    @pytest.mark.parametrize("command", ["omega", "sweep"])
+    @pytest.mark.parametrize("option, n, d", [
+        ("--n", 10**400, 1),
+        ("--n", 2**255, 1),
+        ("--d", 2**255 - 1, 2**255),
+    ], ids=["n=1e400", "n=2**255", "d=2**255"])
+    def test_counts_must_be_below_2_to_the_255(self, capsys, command, option, n, d):
+        # a larger int does not convert to a float inside the cost formulas
+        code, out, err = usage_error(capsys, command, "--n", str(n), "--d", str(d))
+        assert (code, out) == (1, "")
+        assert f"argument {option}: must be positive and below 2**255, got " in err
+
+    def test_largest_counts_still_compute(self, capsys):
+        big = str(2**255 - 1)
+        assert run_cli(capsys, "sweep", "--n", big, "--d", big, "--step", "0.2")[0] == 0
+        assert run_cli(capsys, "omega", "--n", big, "--d", str(2**253))[0] == 0
+
+    def test_tiny_step_fails_before_building_a_grid(self, capsys):
+        start = time.perf_counter()
+        code, out, err = usage_error(capsys, "sweep", "--n", "100", "--d", "1", "--step", "1e-9")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, "")
+        assert ("argument --step: must be at least 5e-06 (at most 100000 grid points), "
+                "got 1e-9") in err
+
+    def test_smallest_step_is_accepted(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["sweep", "--n", "100", "--d", "1", "--step", "5e-06"])
+        assert args.step == 5e-06
 
 
 class TestErrorsAndExitCodes:

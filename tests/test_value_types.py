@@ -263,3 +263,9 @@ def test_pickle_and_copy_round_trip(cls, kwargs, text):
     for clone in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
                   copy.deepcopy(instance)):
         assert type(clone) is cls and clone == instance
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _, _ in CASES[1:]], ids=IDS[1:])
+def test_annotations_name_the_tuple_fields(cls):
+    # the ten tuple types document their fields as class annotations
+    assert tuple(cls.__annotations__) == cls._fields
