@@ -290,14 +290,12 @@ class CanonicalRanking(namedtuple("CanonicalRanking", "models ni2 observed predi
         return self.observed == self.predicted
 
 
-def rank_canonical(c1: int, c2: int, d: int, n: int | None = None) -> CanonicalRanking:
+def rank_canonical(c1: int, c2: int, d: int) -> CanonicalRanking:
     """Order the four canonical departures by NI2, best first.
 
     The observed order (direct NI2 evaluation) is returned alongside
     the order the cross-over rule predicts from p1 = c1/n vs omega.
     """
-    if n is not None and n != c1 + c2:
-        raise ValueError(f"n={n} inconsistent with c1+c2={c1 + c2}")
     models = tuple(CanonicalModel(kind, c1, c2, d) for kind in CanonicalKind)
     ni2 = {
         model.kind: evaluate(MeasureId.NI2, model.matrix()).value
@@ -346,28 +344,21 @@ def detect_mi_local_minimum(matrix: AugmentedConfusionMatrix) -> tuple[int, ...]
     minimum pattern.
     """
     counts = matrix.counts
-    m = matrix.n_classes
+    rows, columns = matrix.row_totals, matrix.column_totals
     blocks = []
-    for i in range(m - 1):
+    for i in range(matrix.n_classes - 1):
         top_left, top_right = counts[i][i], counts[i][i + 1]
         bottom_left, bottom_right = counts[i + 1][i], counts[i + 1][i + 1]
         if min(top_left, top_right, bottom_left, bottom_right) <= 0:
             continue
         if top_left * bottom_right != top_right * bottom_left:
             continue
-        rows_clear = all(
-            counts[r][j] == 0
-            for r in (i, i + 1)
-            for j in range(m + 1)
-            if j not in (i, i + 1)
-        )
-        cols_clear = all(
-            counts[r][j] == 0
-            for j in (i, i + 1)
-            for r in range(m)
-            if r not in (i, i + 1)
-        )
-        if rows_clear and cols_clear:
+        # counts are non-negative: a line is clear outside the block iff
+        # its total is its part inside; rows hold rejects, columns not
+        if (rows[i], rows[i + 1], columns[i], columns[i + 1]) == (
+            top_left + top_right, bottom_left + bottom_right,
+            top_left + bottom_left, top_right + bottom_right,
+        ):
             blocks.append(i + 1)
     return tuple(blocks)
 

@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Sequence
 
 from . import __version__, analysis, fixtures
-from .confusion import _MAX_TOTAL, AugmentedConfusionMatrix, parse_matrices
+from .confusion import _MAX_TOTAL, AugmentedConfusionMatrix
 from .infocore import SINGULAR
 from .measures import InvariantViolation, evaluate_all, parse_selection
 from .ranking import rank
@@ -116,32 +116,20 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p_eval = commands.add_parser(
-        "eval", help="evaluate measures on confusion matrices"
-    )
-    p_eval.add_argument("inputs", nargs="+", metavar="INPUT",
-                        help="JSON/CSV file, or the name of a bundled fixture")
-    _add_measure_option(p_eval, default="all")
-    _add_output_options(p_eval)
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_rank = commands.add_parser(
-        "rank", help="letter-rank competing models per measure"
-    )
-    p_rank.add_argument("inputs", nargs="+", metavar="INPUT",
-                        help="JSON/CSV file, or the name of a bundled fixture")
-    _add_measure_option(p_rank, default="NI2")
-    _add_output_options(p_rank)
-    p_rank.set_defaults(handler=_cmd_rank)
-
-    p_theorems = commands.add_parser(
-        "theorems",
-        help="extremum detectors and canonical single-departure analysis",
-    )
-    p_theorems.add_argument("inputs", nargs="+", metavar="INPUT",
-                            help="JSON/CSV file, or the name of a bundled fixture")
-    _add_output_options(p_theorems)
-    p_theorems.set_defaults(handler=_cmd_theorems)
+    # the commands that read matrices; eval and rank also select measures
+    for name, summary, handler, measures in (
+        ("eval", "evaluate measures on confusion matrices", _cmd_eval, "all"),
+        ("rank", "letter-rank competing models per measure", _cmd_rank, "NI2"),
+        ("theorems", "extremum detectors and canonical single-departure analysis",
+         _cmd_theorems, None),
+    ):
+        p_inputs = commands.add_parser(name, help=summary)
+        p_inputs.add_argument("inputs", nargs="+", metavar="INPUT",
+                              help="JSON/CSV file, or the name of a bundled fixture")
+        if measures:
+            _add_measure_option(p_inputs, default=measures)
+        _add_output_options(p_inputs)
+        p_inputs.set_defaults(handler=handler)
 
     p_omega = commands.add_parser(
         "omega", help="solve for the error/reject cost cross-over share"
@@ -169,13 +157,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_models(inputs: Sequence[str]) -> list[AugmentedConfusionMatrix]:
-    models: list[AugmentedConfusionMatrix] = []
-    for raw in inputs:
-        path = fixtures.resolve(raw)
-        try:
-            models.extend(parse_matrices(path.read_text(), fixtures.input_format(path)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    models = [model for raw in inputs for model in fixtures.load(raw)]
     return [
         model if model.model_name else model.with_name(f"M{position}")
         for position, model in enumerate(models, start=1)
@@ -229,12 +211,12 @@ def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> s
         writer.writerow(header)
         writer.writerows(cells)
         return buffer.getvalue()
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in cells)
-    return "\n".join(lines) + "\n"
+    # a "|" inside a cell would end it; GitHub-flavoured markdown reads "\|"
+    table = [header, ["---"] * len(header), *cells]
+    return "".join(
+        "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |\n"
+        for row in table
+    )
 
 
 def _cmd_eval(args) -> str:
@@ -292,9 +274,8 @@ def _cmd_rank(args) -> str:
     return _render(args, payload, ["measure", "model", "value", "letter"], rows)
 
 
-def _theorem_record(model: AugmentedConfusionMatrix, rankings: dict) -> dict:
-    """One model's theorems; ``rankings`` holds the canonical ranking of
-    each (c1, c2, d) split seen so far, shared by the models of a split."""
+def _theorem_record(model: AugmentedConfusionMatrix, rank_canonical) -> dict:
+    """One model's theorems; ``rank_canonical`` ranks a (c1, c2, d) split."""
     blocks = analysis.detect_mi_local_minimum(model)
     record = {
         "name": model.model_name,
@@ -305,10 +286,10 @@ def _theorem_record(model: AugmentedConfusionMatrix, rankings: dict) -> dict:
     }
     canonical = analysis.classify_canonical(model)
     if canonical is not None:
-        split = (canonical.c1, canonical.c2, canonical.d)
-        if split not in rankings:
-            rankings[split] = analysis.rank_canonical(*split)
-        ranking = rankings[split]
+        try:
+            ranking = rank_canonical(canonical.c1, canonical.c2, canonical.d)
+        except ValueError as exc:
+            raise ValueError(f"{model.model_name}: {exc}") from None
         record["canonical"] = {
             "kind": canonical.kind.value,
             "c1": canonical.c1,
@@ -328,8 +309,9 @@ _CANONICAL_COLUMNS = ("c1", "c2", "d", "delta_I", "p1", "omega", "consistent")
 
 
 def _cmd_theorems(args) -> str:
-    rankings: dict = {}
-    payload = [_theorem_record(model, rankings) for model in _load_models(args.inputs)]
+    # one ranking per (c1, c2, d) split, shared by the split's models
+    rank_canonical = functools.cache(analysis.rank_canonical)
+    payload = [_theorem_record(model, rank_canonical) for model in _load_models(args.inputs)]
     header = [
         "model", "mi_local_minimum", "blocks", "divergence_maximum",
         "canonical_kind", *_CANONICAL_COLUMNS,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .confusion import AugmentedConfusionMatrix, parse_matrices
+from . import confusion
 
 __all__ = ["available", "fixtures_dir", "input_format", "load", "resolve"]
 
@@ -63,7 +63,15 @@ def input_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "json"
 
 
-def load(name: str) -> list[AugmentedConfusionMatrix]:
-    """Load matrices from a fixture stem, fixture file name, or path."""
+def load(name: str) -> list[confusion.AugmentedConfusionMatrix]:
+    """Load matrices from a fixture stem, fixture file name, or path.
+
+    The file is read as UTF-8, a leading byte-order mark allowed, and a
+    parse error names the file.
+    """
     path = resolve(name)
-    return parse_matrices(path.read_text(), input_format(path))
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+        return confusion.parse_matrices(text, input_format(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -120,15 +120,19 @@ def _sum(terms) -> float:
     return total
 
 
-def mutual_information(d: EmpiricalDistribution) -> float:
-    """Empirical I(T,Y) over all m+1 output columns, reject included."""
+def _mi_sum(d: EmpiricalDistribution, columns: slice) -> float:
     total = 0.0
     for i, row in enumerate(d.joint):
         pt = d.row_marginal[i]
-        for j, pij in enumerate(row):
+        for j, pij in enumerate(row[columns]):
             if pij > 0.0:
                 total += pij * math.log2(pij / (pt * d.col_marginal[j]))
     return total
+
+
+def mutual_information(d: EmpiricalDistribution) -> float:
+    """Empirical I(T,Y) over all m+1 output columns, reject included."""
+    return _mi_sum(d, slice(None))
 
 
 def modified_mutual_information(d: EmpiricalDistribution) -> float:
@@ -139,13 +143,7 @@ def modified_mutual_information(d: EmpiricalDistribution) -> float:
     carry different costs.  Equals mutual_information exactly when the
     reject column is empty.
     """
-    total = 0.0
-    for i, row in enumerate(d.joint):
-        pt = d.row_marginal[i]
-        for j, pij in enumerate(row[:-1]):
-            if pij > 0.0:
-                total += pij * math.log2(pij / (pt * d.col_marginal[j]))
-    return total
+    return _mi_sum(d, slice(-1))
 
 
 def joint_entropy(d: EmpiricalDistribution) -> float:

@@ -134,19 +134,24 @@ CATALOG: tuple[MeasureId, ...] = tuple(MeasureId)
 _INFORMATION = tuple(m for m in CATALOG if m.ni_index is not None)
 _POSITION = {m: k for k, m in enumerate(CATALOG)}
 
-_GROUP_ALIASES = {
-    "mi": MeasureGroup.MUTUAL_INFORMATION,
-    "mutual-information": MeasureGroup.MUTUAL_INFORMATION,
-    "divergence": MeasureGroup.DIVERGENCE,
-    "cross-entropy": MeasureGroup.CROSS_ENTROPY,
-    "ce": MeasureGroup.CROSS_ENTROPY,
-    "performance": MeasureGroup.PERFORMANCE,
-    "perf": MeasureGroup.PERFORMANCE,
-}
-
 
 def measures_in_group(group: MeasureGroup) -> tuple[MeasureId, ...]:
     return tuple(m for m in CATALOG if m.group is group)
+
+
+# each selection token, lower-cased, and the measures it expands to:
+# the measure ids, the group names, and the keywords; no keyword is
+# also a measure id
+_SELECTION = {m.value.lower(): (m,) for m in CATALOG}
+_SELECTION.update({group.value: measures_in_group(group) for group in MeasureGroup})
+_SELECTION.update({
+    "all": CATALOG,
+    "information": _INFORMATION,
+    "ni": _INFORMATION,
+    "mutual-information": _SELECTION["mi"],
+    "ce": _SELECTION["cross-entropy"],
+    "perf": _SELECTION["performance"],
+})
 
 
 def parse_selection(text: str) -> tuple[MeasureId, ...]:
@@ -162,15 +167,8 @@ def parse_selection(text: str) -> tuple[MeasureId, ...]:
         key = token.strip().lower()
         if not key:
             continue
-        if key == "all":
-            expansion: Iterable[MeasureId] = CATALOG
-        elif key in ("information", "ni"):
-            expansion = _INFORMATION
-        elif key in _GROUP_ALIASES:
-            expansion = measures_in_group(_GROUP_ALIASES[key])
-        else:
-            expansion = (MeasureId.from_token(token),)
-        for measure in expansion:
+        # from_token raises the unknown-measure error
+        for measure in _SELECTION.get(key) or (MeasureId.from_token(token),):
             if measure not in selected:
                 selected.append(measure)
     if not selected:

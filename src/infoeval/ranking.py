@@ -111,35 +111,20 @@ class MetaOrder(namedtuple("MetaOrder", "constraints")):
     __slots__ = ()
 
     def __new__(cls, constraints):
+        # imported here: the CLI never builds a MetaOrder
+        from graphlib import CycleError, TopologicalSorter
+
         pairs = tuple((str(a), str(b)) for a, b in constraints)
+        graph = TopologicalSorter()
         for better, worse in pairs:
             if better == worse:
                 raise ValueError(f"constraint ({better!r}, {worse!r}) is reflexive")
-        if cls._has_cycle(pairs):
-            raise ValueError("constraints contain a cycle")
+            graph.add(worse, better)
+        try:
+            graph.prepare()
+        except CycleError:
+            raise ValueError("constraints contain a cycle") from None
         return super().__new__(cls, pairs)
-
-    @staticmethod
-    def _has_cycle(pairs) -> bool:
-        graph: dict[str, list[str]] = {}
-        for better, worse in pairs:
-            graph.setdefault(better, []).append(worse)
-        done: set[str] = set()
-        in_progress: set[str] = set()
-
-        def visit(node: str) -> bool:
-            if node in done:
-                return False
-            if node in in_progress:
-                return True
-            in_progress.add(node)
-            if any(visit(succ) for succ in graph.get(node, ())):
-                return True
-            in_progress.discard(node)
-            done.add(node)
-            return False
-
-        return any(visit(node) for node in list(graph))
 
 
 def check_meta_order(report: RankReport, order: MetaOrder) -> list[tuple[str, str]]:

@@ -305,10 +305,6 @@ class TestRankCanonical:
             model = class_share_models[name]
             assert ranking.ni2[kind] == evaluate(MeasureId.NI2, model).value
 
-    def test_inconsistent_n_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            rank_canonical(90, 10, 1, n=99)
-
 
 class TestClassifyCanonical:
     def test_round_trip_all_kinds(self):
@@ -335,7 +331,66 @@ class TestClassifyCanonical:
         assert classify_canonical(three_class_models["M7"]) is None
 
 
+def _scanned_mi_local_minimum(matrix):
+    """The detector's former rescan of each block's rows and columns."""
+    counts = matrix.counts
+    m = matrix.n_classes
+    blocks = []
+    for i in range(m - 1):
+        top_left, top_right = counts[i][i], counts[i][i + 1]
+        bottom_left, bottom_right = counts[i + 1][i], counts[i + 1][i + 1]
+        if min(top_left, top_right, bottom_left, bottom_right) <= 0:
+            continue
+        if top_left * bottom_right != top_right * bottom_left:
+            continue
+        rows_clear = all(
+            counts[r][j] == 0
+            for r in (i, i + 1)
+            for j in range(m + 1)
+            if j not in (i, i + 1)
+        )
+        cols_clear = all(
+            counts[r][j] == 0
+            for j in (i, i + 1)
+            for r in range(m)
+            if r not in (i, i + 1)
+        )
+        if rows_clear and cols_clear:
+            blocks.append(i + 1)
+    return tuple(blocks)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """m from 2 to 5, mostly zeros, often with a proportional block whose
+    rows and columns are cleared outside it (before a few stray counts)."""
+    m = draw(st.integers(2, 5))
+    cell = st.sampled_from((0, 0, 0, 0, 1, 2, 3, 6))
+    rows = [[draw(cell) for _ in range(m + 1)] for _ in range(m)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 2))
+        block = (i, i + 1)
+        outside = [(r, j) for r in range(m) for j in range(m + 1)
+                   if (r in block) != (j in block)]
+        for r, j in outside:
+            rows[r][j] = 0
+        for r, j in draw(st.lists(st.sampled_from(outside), max_size=2)):
+            rows[r][j] = 1
+        a, b, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 3))
+        rows[i][i:i + 2] = [a, b]
+        rows[i + 1][i:i + 2] = [k * a, k * b]
+    for i, row in enumerate(rows):
+        if not any(row):
+            row[i] = 1
+    return AugmentedConfusionMatrix(rows)
+
+
 class TestDetectors:
+    @settings(max_examples=300)
+    @given(sparse_matrices())
+    def test_mi_local_minimum_matches_the_scan(self, matrix):
+        assert detect_mi_local_minimum(matrix) == _scanned_mi_local_minimum(matrix)
+
     def test_proportional_block_found(self, binary_models):
         assert detect_mi_local_minimum(binary_models["M5"]) == (1,)
 

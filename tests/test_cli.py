@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -336,6 +337,17 @@ class TestErrorsAndExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: {message}")
 
+    def test_theorems_error_names_the_model(self, capsys, tmp_path):
+        # n/d above about 3.679e11 puts omega above the scan grid's end
+        path = tmp_path / "huge.json"
+        path.write_text("[[300000000000, 1, 0], [0, 100000000000, 0]]")
+        code, out, err = run_cli(capsys, "theorems", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: M1: no sign change of the cost gap on (0.500001, 0.999999)"
+            " for n=400000000001, d=1\n"
+        )
+
     def test_rank_needs_two_models(self, capsys, tmp_path):
         single = tmp_path / "single.json"
         single.write_text("[[9, 0], [0, 9]]")
@@ -382,6 +394,52 @@ class TestDeterminism:
             capture_output=True, text=True, check=True,
         )
         assert result.stdout == out
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", "90,3,2\n1,8,1\n"),
+        (".json", '[{"name": "café", "matrix": [[90, 3, 2], [1, 8, 1]]}]'),
+    ], ids=["csv", "json"])
+    @pytest.mark.parametrize("command", ["eval", "rank", "theorems"])
+    def test_utf8_with_and_without_byte_order_mark(self, capsys, tmp_path, suffix, text,
+                                                    command):
+        outputs = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / f"{name}{suffix}"
+            path.write_bytes((prefix + text).encode("utf-8"))
+            outputs.append(run_cli(capsys, command, str(path), str(path)))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+
+class TestMarkdownEscape:
+    @pytest.mark.parametrize("command, row", [
+        ("eval", "| a\\|b | 0.561 |"),
+        ("rank", "| a\\|b | 0.561 | A |"),
+        ("theorems", "| a\\|b | false |  | false |  |  |  |  |  |  |  |  |"),
+    ], ids=["eval", "rank", "theorems"])
+    def test_pipe_in_a_name_is_escaped(self, capsys, tmp_path, command, row):
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps([
+            {"name": "a|b", "matrix": [[90, 3, 2], [1, 8, 1]]},
+            {"name": "c", "matrix": [[80, 3, 2], [1, 8, 1]]},
+        ]))
+        extra = [] if command == "theorems" else ["--measures", "NI2"]
+        code, out, _ = run_cli(capsys, command, str(path), *extra)
+        assert code == 0
+        assert row in out.splitlines()
+        # a reader splits cells at each "|" that is not escaped
+        table = [line for line in out.splitlines() if line.startswith("|")]
+        assert len({len(re.findall(r"(?<!\\)\|", line)) for line in table}) == 1
+
+    def test_csv_and_json_keep_the_pipe(self, capsys, tmp_path):
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps([{"name": "a|b", "matrix": [[90, 3, 2], [1, 8, 1]]}]))
+        _, out, _ = run_cli(capsys, "eval", str(path), "--measures", "NI2", "--format", "csv")
+        assert out == "model,NI2\na|b,0.561\n"
+        _, out, _ = run_cli(capsys, "eval", str(path), "--measures", "NI2", "--format", "json")
+        assert json.loads(out)[0]["name"] == "a|b"
 
 
 class TestFixtureResolution:

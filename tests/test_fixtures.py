@@ -29,6 +29,14 @@ def test_load_by_path(tmp_path):
     assert loaded.model_name == "x"
 
 
+def test_malformed_file_error_starts_with_its_path(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,0\n0,x\n")
+    with pytest.raises(ValueError) as info:
+        fixtures.load(str(path))
+    assert str(info.value) == f"{path}: line 2: non-numeric entry in '0,x'"
+
+
 def test_unknown_fixture_lists_choices():
     with pytest.raises(ValueError, match="binary_models"):
         fixtures.load("no_such_fixture")

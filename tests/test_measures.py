@@ -21,7 +21,7 @@ from infoeval import (
     parse_selection,
     performance_summary,
 )
-from infoeval.measures import _snap_unit
+from infoeval.measures import _SELECTION, _snap_unit
 
 # Frozen by the 50-digit oracle.
 NI2_C_D = 0.58621747812938479
@@ -70,7 +70,37 @@ class TestCatalog:
             MeasureId.from_token("NI25")
 
 
+_NI = tuple(MeasureId(f"NI{k}") for k in range(1, 25))
+_PERFORMANCE = tuple(MeasureId(token) for token in ("CR", "E", "Rej", "A", "Precision",
+                                                   "Recall", "F1"))
+# every selection keyword and its expansion, written out apart from the program
+_KEYWORDS = {
+    "all": _NI + _PERFORMANCE,
+    "information": _NI,
+    "ni": _NI,
+    "mi": _NI[:9],
+    "mutual-information": _NI[:9],
+    "divergence": _NI[9:20],
+    "cross-entropy": _NI[20:],
+    "ce": _NI[20:],
+    "performance": _PERFORMANCE,
+    "perf": _PERFORMANCE,
+}
+
+
 class TestParseSelection:
+    @pytest.mark.parametrize("case", [str.lower, str.upper], ids=["lower", "upper"])
+    @pytest.mark.parametrize("token, expansion", [
+        *_KEYWORDS.items(), *((m.value, (m,)) for m in CATALOG)
+    ])
+    def test_every_token_expands(self, token, expansion, case):
+        assert parse_selection(case(token)) == expansion
+
+    def test_no_keyword_is_a_measure_id(self):
+        ids = {m.value.lower() for m in CATALOG}
+        assert not ids & set(_KEYWORDS)
+        assert set(_SELECTION) == ids | set(_KEYWORDS)
+
     def test_all(self):
         assert parse_selection("all") == CATALOG
 

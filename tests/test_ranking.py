@@ -135,6 +135,12 @@ class TestMetaOrder:
         with pytest.raises(ValueError, match="cycle"):
             MetaOrder((("a", "b"), ("b", "c"), ("c", "a")))
 
+    def test_long_chain_and_its_cycle(self):
+        chain = [(f"m{k}", f"m{k + 1}") for k in range(5000)]
+        assert MetaOrder(chain).constraints[-1] == ("m4999", "m5000")
+        with pytest.raises(ValueError, match="^constraints contain a cycle$"):
+            MetaOrder([*chain, ("m5000", "m0")])
+
     def test_dag_accepted(self):
         order = MetaOrder((("a", "b"), ("b", "c"), ("a", "c")))
         assert len(order.constraints) == 3

@@ -23,8 +23,8 @@ def test_runtime_imports_neither_numpy_nor_scipy():
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; none of them, nor
-# typing, is needed to start the CLI
-STARTUP_FREE = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
+# typing, is needed to start the CLI, nor graphlib, which only MetaOrder uses
+STARTUP_FREE = ("ast", "dataclasses", "dis", "graphlib", "inspect", "tokenize", "typing")
 
 
 def test_cli_import_leaves_out_the_costly_stdlib_modules():
