@@ -90,9 +90,7 @@ class CanonicalModel(namedtuple("CanonicalModel", "kind c1 c2 d")):
         row, col = self.kind.row, self.kind.col
         rows[row][row] -= self.d
         rows[row][col] += self.d
-        return AugmentedConfusionMatrix(
-            tuple(map(tuple, rows)), model_name=self.kind.value
-        )
+        return AugmentedConfusionMatrix(rows, model_name=self.kind.value)
 
 
 def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
@@ -216,12 +214,13 @@ class CrossoverResult(namedtuple("CrossoverResult", "n d omega brackets")):
 def crossover_analysis(n: int, d: int) -> CrossoverResult:
     """Locate where the large-class-error and small-class-reject costs cross.
 
-    Scans p1 over (0.5, 1) for sign changes of :func:`crossover_gap`
-    first, reporting every bracket found, then bisects (|gap| < 1e-12
-    or bracket narrower than 1e-10).  A gap of exactly 0 on a grid point
-    (p1 = 0.75 when n = 4d) counts as non-negative, so it closes one
-    bracket instead of opening two.  Exactly one sign change is
-    expected; none or several raise instead of guessing.
+    The gap of :func:`crossover_gap` strictly increases with p1, so on a
+    scan of p1 over (0.5, 1) it is negative up to one grid point and
+    not negative from there on.  The one bracket ends at that first
+    point, which may be an exact zero (p1 = 0.75 when n = 4d); it is
+    bisected until |gap| < 1e-12 or it is narrower than 1e-10.  A gap
+    that is not negative at the first point, or still negative at the
+    last, has no crossing on the scan and raises.
     """
     if not n > 2 * d > 0:
         raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
@@ -229,32 +228,24 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     lo, hi = 0.5 + eps, 1.0 - eps
     xs = [lo + (hi - lo) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)]
     fs = [crossover_gap(x, n, d) for x in xs]
-    brackets = tuple(
-        (xs[k], xs[k + 1])
-        for k in range(_SCAN_POINTS)
-        if (fs[k] < 0.0) != (fs[k + 1] < 0.0)
-    )
-    if not brackets:
+    # the first point whose gap is not negative; 0 when there is none
+    k = next((k for k, f in enumerate(fs) if not f < 0.0), 0)
+    if k == 0:
         raise ValueError(
             f"no sign change of the cost gap on ({lo}, {hi}) for n={n}, d={d}"
         )
-    if len(brackets) > 1:
-        raise ValueError(
-            f"expected a unique crossing, found {len(brackets)}: {brackets}"
-        )
-    a, b = brackets[0]
-    fa = crossover_gap(a, n, d)
+    bracket = a, b = xs[k - 1], xs[k]
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = crossover_gap(mid, n, d)
         if abs(fm) < _F_TOL or (b - a) < _P_TOL:
             a = b = mid
             break
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
+        if fm < 0.0:
+            a = mid
         else:
-            a, fa = mid, fm
-    return CrossoverResult(n=n, d=d, omega=0.5 * (a + b), brackets=brackets)
+            b = mid
+    return CrossoverResult(n=n, d=d, omega=0.5 * (a + b), brackets=(bracket,))
 
 
 def crossover_omega(n: int, d: int) -> float:

@@ -46,16 +46,13 @@ def _checked(convert, valid, problem: str):
     """An argparse type: text that ``convert`` takes and ``valid`` accepts."""
 
     def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {text!r}"
-            ) from None
+        value = convert(text)
         if not valid(value):
             raise argparse.ArgumentTypeError(problem.format(text))
         return value
 
+    # argparse reports text that convert rejects as "invalid int value: 'q'"
+    parse.__name__ = convert.__name__
     return parse
 
 
@@ -90,21 +87,6 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_measure_option(parser: argparse.ArgumentParser, default: str) -> None:
-    parser.add_argument(
-        "--measures",
-        "--measure",
-        dest="measures",
-        default=default,
-        metavar="LIST",
-        help=(
-            "comma-separated measure ids or group names "
-            "(mi, divergence, cross-entropy, performance, information, all); "
-            f"default: {default}"
-        ),
-    )
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args leaves the parser unchanged, and
@@ -127,31 +109,36 @@ def _build_parser() -> _Parser:
         p_inputs.add_argument("inputs", nargs="+", metavar="INPUT",
                               help="JSON/CSV file, or the name of a bundled fixture")
         if measures:
-            _add_measure_option(p_inputs, default=measures)
+            p_inputs.add_argument(
+                "--measures",
+                "--measure",
+                dest="measures",
+                default=measures,
+                metavar="LIST",
+                help=(
+                    "comma-separated measure ids or group names "
+                    "(mi, divergence, cross-entropy, performance, information, all); "
+                    f"default: {measures}"
+                ),
+            )
         _add_output_options(p_inputs)
         p_inputs.set_defaults(handler=handler)
 
-    p_omega = commands.add_parser(
-        "omega", help="solve for the error/reject cost cross-over share"
-    )
-    p_omega.add_argument("--n", type=_count, required=True,
-                         help="total sample count")
-    p_omega.add_argument("--d", type=_count, required=True,
-                         help="departure size (samples moved)")
-    _add_output_options(p_omega)
-    p_omega.set_defaults(handler=_cmd_omega)
-
-    p_sweep = commands.add_parser(
-        "sweep", help="tabulate the four departure costs over class shares"
-    )
-    p_sweep.add_argument("--n", type=_count, required=True,
-                         help="total sample count")
-    p_sweep.add_argument("--d", type=_count, required=True,
-                         help="departure size (samples moved)")
-    p_sweep.add_argument("--step", type=_step, default=0.05,
-                         help="grid step for the large-class share (default: 0.05)")
-    _add_output_options(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    # the commands that take n and d; sweep also takes a grid step
+    for name, summary, handler in (
+        ("omega", "solve for the error/reject cost cross-over share", _cmd_omega),
+        ("sweep", "tabulate the four departure costs over class shares", _cmd_sweep),
+    ):
+        p_costs = commands.add_parser(name, help=summary)
+        p_costs.add_argument("--n", type=_count, required=True,
+                             help="total sample count")
+        p_costs.add_argument("--d", type=_count, required=True,
+                             help="departure size (samples moved)")
+        if name == "sweep":
+            p_costs.add_argument("--step", type=_step, default=0.05,
+                                 help="grid step for the large-class share (default: 0.05)")
+        _add_output_options(p_costs)
+        p_costs.set_defaults(handler=handler)
 
     return parser
 

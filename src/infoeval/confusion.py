@@ -133,8 +133,7 @@ class AugmentedConfusionMatrix:
         m = len(rows)
         if m >= 2 and all(len(row) == m for row in rows):
             rows = [row + [0] for row in rows]
-        return cls(tuple(tuple(row) for row in rows),
-                   class_labels=class_labels, model_name=model_name)
+        return cls(rows, class_labels=class_labels, model_name=model_name)
 
     @property
     def n_classes(self) -> int:

@@ -269,6 +269,50 @@ class TestCrossover:
             crossover_gap(1.5, 100, 1)
 
 
+# the solver's scan: 1001 evenly spaced shares from 0.500001 to 0.999999
+SCAN = [0.500001 + (0.999999 - 0.500001) * k / 1000 for k in range(1001)]
+SMALL_N = [(n, d) for n in range(3, 400, 3) for d in range(1, (n + 1) // 2, 1 + n // 10)]
+
+
+def negatives_then_non_negatives(n, d):
+    """Gap signs on the scan: True (negative) up to one point, then False."""
+    negative = [crossover_gap(p1, n, d) < 0.0 for p1 in SCAN]
+    k = negative.count(True)
+    assert negative == [True] * k + [False] * (len(SCAN) - k), (n, d)
+    return k
+
+
+@st.composite
+def log_uniform_splits(draw):
+    """n > 2d with n/d log-uniform up to 3.6e11, below the scan's limit."""
+    d = draw(st.one_of(st.just(1), st.integers(1, 10**12)))
+    ratio = 10 ** draw(st.floats(math.log10(2.0), math.log10(3.6e11)))
+    return max(2 * d + 1, int(d * ratio)), d
+
+
+class TestGapMonotoneOnScan:
+    """The gap increases with p1, so the scan holds exactly one bracket:
+    the solver ends it at the first point whose gap is not negative."""
+
+    def test_small_n(self):
+        for n, d in SMALL_N:
+            negatives_then_non_negatives(n, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_uniform_splits())
+    def test_log_uniform_ratio(self, split):
+        k = negatives_then_non_negatives(*split)
+        assert 0 < k <= 1000
+        assert crossover_analysis(*split).brackets == ((SCAN[k - 1], SCAN[k]),)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 2**200))
+    def test_n_is_4d(self, d):
+        # the exact crossing p1 = 0.75 is scan point 500, whose gap is 0
+        assert negatives_then_non_negatives(4 * d, d) == 500
+        assert crossover_analysis(4 * d, d).brackets == ((SCAN[499], SCAN[500]),)
+
+
 class TestRankCanonical:
     def test_below_crossover(self):
         ranking = rank_canonical(94, 6, 1)

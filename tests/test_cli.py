@@ -364,6 +364,18 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "invariant violation" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "binary_models", "--round", "q"), "--round: invalid int value: 'q'"),
+        (("omega", "--n", "abc", "--d", "1"), "--n: invalid int value: 'abc'"),
+        (("omega", "--n", "100", "--d", "x"), "--d: invalid int value: 'x'"),
+        (("sweep", "--n", "100", "--d", "1", "--step", "zz"),
+         "--step: invalid float value: 'zz'"),
+    ], ids=["round", "n", "d", "step"])
+    def test_conversion_errors_exit_1(self, capsys, argv, message):
+        code, out, err = usage_error(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {message}\n")
+
     def test_usage_errors_exit_1(self, capsys):
         for argv in ([], ["eval"], ["eval", "x", "--format", "yaml"],
                      ["eval", "x", "--round", "13"], ["omega", "--n", "100"]):

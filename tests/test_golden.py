@@ -17,6 +17,10 @@ also pinned in the default fixed precision as markdown (``.md``), CSV
 ``eval_binary_models.csv`` is the output of::
 
     python -m infoeval.cli eval binary_models --measures all --format csv
+
+``help_omega.txt`` and ``help_sweep.txt`` hold ``omega --help`` and
+``sweep --help`` at ``COLUMNS=80``; ``eval`` and ``rank`` help is left
+out, because Python 3.13 formats option aliases differently.
 """
 import contextlib
 import io
@@ -54,6 +58,15 @@ def test_raw_solver_output_matches_golden(capsys, command):
     assert main(argv) == 0
     expected = (GOLDEN / f"{command}_n100_d1.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["omega", "sweep"])
+def test_help_matches_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
 
 
 FIXED_FORMATS = {"md": "markdown", "csv": "csv", "fixed.json": "json"}

@@ -28,12 +28,14 @@ STARTUP_FREE = ("ast", "dataclasses", "dis", "graphlib", "inspect", "tokenize", 
 
 
 def test_cli_import_leaves_out_the_costly_stdlib_modules():
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the checkout free of __pycache__
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import infoeval.cli; "
         f"print(' '.join(sorted(set({STARTUP_FREE!r}) & set(sys.modules))))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-B", "-c", probe],
+        capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == ""
