@@ -48,7 +48,6 @@ __all__ = [
     "sweep_delta_curves",
 ]
 
-_F_TOL = 1e-12
 _P_TOL = 1e-10
 _SCAN_POINTS = 1000  # grid intervals of the cross-over sign-change scan
 
@@ -218,9 +217,9 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     scan of p1 over (0.5, 1) it is negative up to one grid point and
     not negative from there on.  The one bracket ends at that first
     point, which may be an exact zero (p1 = 0.75 when n = 4d); it is
-    bisected until |gap| < 1e-12 or it is narrower than 1e-10.  A gap
-    that is not negative at the first point, or still negative at the
-    last, has no crossing on the scan and raises.
+    bisected until it is narrower than 1e-10.  A gap that is not
+    negative at the first point, or still negative at the last, has no
+    crossing on the scan and raises.
     """
     if not n > 2 * d > 0:
         raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
@@ -235,13 +234,10 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
             f"no sign change of the cost gap on ({lo}, {hi}) for n={n}, d={d}"
         )
     bracket = a, b = xs[k - 1], xs[k]
-    for _ in range(200):
+    # 23 halvings of the ~5e-4 bracket; floats in (0.5, 1) are 1.1e-16 apart
+    while b - a >= _P_TOL:
         mid = 0.5 * (a + b)
-        fm = crossover_gap(mid, n, d)
-        if abs(fm) < _F_TOL or (b - a) < _P_TOL:
-            a = b = mid
-            break
-        if fm < 0.0:
+        if crossover_gap(mid, n, d) < 0.0:
             a = mid
         else:
             b = mid

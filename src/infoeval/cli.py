@@ -155,8 +155,6 @@ def _format_value(value, args) -> str:
     """One cell of text output; Singular prints as S, absent as empty."""
     if value is None:
         return ""
-    if value is SINGULAR:
-        return "S"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

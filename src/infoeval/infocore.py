@@ -50,12 +50,10 @@ class _Singular:
     """Marker for a singularity that no zero-convention removes."""
 
     __slots__ = ()
-    _instance = None
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        # pickle and copy resolve to the module constant by name
+        return "SINGULAR"
 
     def __repr__(self) -> str:
         return "S"

@@ -1,6 +1,7 @@
 """Departure costs, cross-over solving, sensitivities, and extremum
 detectors against frozen oracle values and finite differences."""
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,50 @@ class TestGapMonotoneOnScan:
         # the exact crossing p1 = 0.75 is scan point 500, whose gap is 0
         assert negatives_then_non_negatives(4 * d, d) == 500
         assert crossover_analysis(4 * d, d).brackets == ((SCAN[499], SCAN[500]),)
+
+
+def exact_omega(n, d):
+    """The cross-over share to 50 digits, bisected over (0.5, 0.9999999).
+
+    With x = (1 - p1) n, n ln(2) gap = (x - d) ln x - (x + d) ln(x + d)
+    + d ln(d n); 50 halvings leave a bracket of 4.4e-16.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, d = Decimal(n), Decimal(d)
+
+        def gap(p1):
+            x = (1 - p1) * n
+            return (x - d) * x.ln() - (x + d) * (x + d).ln() + d * (d * n).ln()
+
+        a, b = Decimal("0.5"), Decimal("0.9999999")
+        for _ in range(50):
+            mid = (a + b) / 2
+            if gap(mid) < 0:
+                a = mid
+            else:
+                b = mid
+        return float((a + b) / 2)
+
+
+# n/d log-spaced from 1e2 to 3.6787e11; the scan solves up to 3.67879e11
+EXACT_RATIOS = [10 ** (2 + i * (math.log10(3.6787e11) - 2) / 20) for i in range(21)]
+
+
+class TestCrossoverAgainstExactRoot:
+    """The bisection runs to a fixed width, so omega is within 1e-10 of
+    the root at every n/d, also where the gap is tiny (large n/d)."""
+
+    @pytest.mark.parametrize("d", [1, 7, 1000])
+    def test_omega_within_1e_10(self, d):
+        for ratio in EXACT_RATIOS:
+            n = round(d * ratio)
+            assert abs(crossover_omega(n, d) - exact_omega(n, d)) <= 1e-10, (n, d)
+
+    @pytest.mark.parametrize("c2", [194000, 195000, 196000])
+    def test_rank_canonical_consistent_near_the_root(self, c2):
+        # p1 = 1 - c2 / 1e11 lies 2e-8 to 4.2e-8 below omega = 0.99999808198
+        assert rank_canonical(10**11 - c2, c2, 1).consistent
 
 
 class TestRankCanonical:

@@ -10,7 +10,9 @@ import time
 import pytest
 
 import infoeval.cli as cli
-from infoeval import InvariantViolation, MeasureId, evaluate
+from infoeval import (
+    SINGULAR, CanonicalKind, CanonicalModel, InvariantViolation, MeasureId, evaluate,
+)
 from infoeval.cli import main
 
 
@@ -49,6 +51,13 @@ class TestEval:
         assert "| M3 | S |" in out
         assert "| M6 | S |" in out
         assert "| M5 | 0.741 |" in out
+
+    @pytest.mark.parametrize("value", [object(), "S", 1.5, None],
+                             ids=["object", "str", "float", "None"])
+    def test_json_default_serialises_only_singular(self, value):
+        assert cli._singular_as_s(SINGULAR) == "S"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._singular_as_s(value)
 
     def test_json_round_trips_at_emitted_precision(self, capsys, binary_models):
         code, out, _ = run_cli(
@@ -496,3 +505,18 @@ class TestCrossoverAtFourD:
             "small-class-error", "large-class-error",
             "small-class-reject", "large-class-reject",
         }
+
+
+class TestCrossoverNearTheScanEnd:
+    def test_theorems_on_quad_is_consistent(self, capsys, tmp_path):
+        # p1 = 0.99999806 lies 2.2e-8 below omega = 0.99999808198
+        quad = tmp_path / "quad.json"
+        quad.write_text(json.dumps([
+            CanonicalModel(kind, 10**11 - 194000, 194000, 1).matrix().counts
+            for kind in CanonicalKind
+        ]))
+        code, out, err = run_cli(capsys, "theorems", str(quad), "--format", "json")
+        assert code == 0, err
+        records = json.loads(out)
+        assert len(records) == 4
+        assert all(r["canonical"]["consistent"] for r in records)

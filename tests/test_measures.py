@@ -21,7 +21,7 @@ from infoeval import (
     parse_selection,
     performance_summary,
 )
-from infoeval.measures import _SELECTION, _snap_unit
+from infoeval.measures import _SELECTION, _ratio, _snap_unit
 
 # Frozen by the 50-digit oracle.
 NI2_C_D = 0.58621747812938479
@@ -176,6 +176,11 @@ class TestMiGroup:
         matrix = _mx([[5, 0], [5, 0]])
         for measure in measures_in_group(MeasureGroup.MUTUAL_INFORMATION):
             assert evaluate(measure, matrix).value == 0.0
+
+    def test_zero_denominator_policy(self):
+        # 0/0 resolves to 0; a positive I over H(Y) = 0 cannot come from a matrix
+        assert _ratio(0.0, 0.0) == 0.0
+        assert _ratio(1.0, 0.0) is SINGULAR
 
 
 class TestDivergenceGroup:

@@ -5,7 +5,9 @@ instances of the same type, immutability (assignment raises
 ``AttributeError``), construction by keyword and by position with the
 defaults, every validation message, ``with_name``, and that a
 matrix's derived totals stay out of ``==``, ``hash`` and ``repr``.
-Comparison with other types is deliberately not pinned.
+Comparison with other types is deliberately not pinned, except that a
+matrix never equals its counts.  ``SINGULAR`` survives pickle and copy
+as itself.
 """
 import copy
 import pickle
@@ -14,6 +16,7 @@ import re
 import pytest
 
 from infoeval import (
+    SINGULAR,
     AugmentedConfusionMatrix,
     BinaryConfusion,
     CanonicalKind,
@@ -248,6 +251,9 @@ def test_matrix_totals_stay_out_of_eq_hash_and_repr():
     assert m == AugmentedConfusionMatrix([[3, 1, 0], [0, 2, 1]], model_name="x")
     assert m != AugmentedConfusionMatrix(m.counts, model_name="y")
     assert m != AugmentedConfusionMatrix(m.counts, class_labels=("1", "2"), model_name="x")
+    # __eq__ returns NotImplemented for a non-matrix, and the tuple's does too
+    assert m.__eq__(m.counts) is NotImplemented
+    assert (m == m.counts) is False
 
 
 def test_matrix_distributions_is_a_plain_method():
@@ -263,6 +269,18 @@ def test_pickle_and_copy_round_trip(cls, kwargs, text):
     for clone in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
                   copy.deepcopy(instance)):
         assert type(clone) is cls and clone == instance
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_singular_pickles_to_itself(protocol):
+    assert pickle.loads(pickle.dumps(SINGULAR, protocol)) is SINGULAR
+    value = pickle.loads(pickle.dumps(MeasureValue(MeasureId.NI17, SINGULAR), protocol))
+    assert value.value is SINGULAR and value.is_singular
+
+
+def test_singular_copies_to_itself():
+    assert copy.copy(SINGULAR) is SINGULAR
+    assert copy.deepcopy(SINGULAR) is SINGULAR
 
 
 @pytest.mark.parametrize("cls", [cls for cls, _, _ in CASES[1:]], ids=IDS[1:])
