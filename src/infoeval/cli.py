@@ -20,9 +20,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__, analysis, fixtures
 from .confusion import _MAX_TOTAL, AugmentedConfusionMatrix
@@ -162,21 +162,65 @@ def _format_value(value, args) -> str:
     return str(value)
 
 
-def _rounded(value, digits: int):
-    """The payload with every float rounded; other values unchanged."""
-    if isinstance(value, float):
-        return round(value, digits)
-    if isinstance(value, dict):
-        return {key: _rounded(item, digits) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_rounded(item, digits) for item in value]
-    return value
-
-
 def _singular_as_s(value):
     if value is SINGULAR:
         return "S"
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# how json spells the floats that float.__repr__ prints as nan and inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, digits: int | None, pad: str, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` prints it.
+
+    ``pad`` is a newline and the current indent.  Floats are rounded to
+    ``digits`` unless it is None; tuples print as lists and SINGULAR as
+    "S".  A non-str key or any other type raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value if digits is None else round(value, digits))
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        out.append("{")
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(inner)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _json(item, digits, inner, out)
+            out.append(",")
+        # the last item's comma becomes the closing line
+        out[-1] = pad + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _json(item, digits, inner, out)
+            out.append(",")
+        out[-1] = pad + "]"
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(_encode_str(_singular_as_s(value)))
 
 
 def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -186,9 +230,10 @@ def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> s
     the table cells, read only when a table is printed.
     """
     if args.format == "json":
-        if args.precision == "fixed":
-            payload = _rounded(payload, args.round)
-        return json.dumps(payload, indent=2, default=_singular_as_s) + "\n"
+        out: list[str] = []
+        _json(payload, args.round if args.precision == "fixed" else None, "\n", out)
+        out.append("\n")
+        return "".join(out)
     cells = [[_format_value(value, args) for value in row] for row in rows]
     if args.format == "csv":
         buffer = io.StringIO()

@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
@@ -109,6 +109,10 @@ class MeasureId(Enum):
     PRECISION = "Precision"
     RECALL = "Recall"
     F1 = "F1"
+
+    # members are singletons that compare by identity; the C identity
+    # hash skips Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
 
     def __init__(self, token: str):
         self.ni_index = k = int(token[2:]) if token.startswith("NI") else None
@@ -345,20 +349,52 @@ _FORMULAS: dict[MeasureId, Callable[[_Record], ExtendedValue | None]] = {
 }
 
 
-def _evaluate(record: _Record, measure: MeasureId, strict: bool) -> MeasureValue:
-    value = _FORMULAS[measure](record)
-    if value is None and strict:
-        raise ValueError(
-            f"{measure.value} needs a 2-class matrix, got {record.matrix.n_classes} classes"
-        )
-    if measure.ni_index is not None and value is not SINGULAR:
-        value = _snap_unit(value, measure)
-    return MeasureValue(measure, value)
+@lru_cache(maxsize=32)
+def _plan(selection: tuple) -> tuple[tuple[MeasureId, Callable, bool], ...]:
+    """A selection's steps in catalog order, each measure once.
+
+    A step is (measure, formula, bounded); a bounded value is an NI
+    measure's, snapped to [0, 1].  Resolved once per distinct selection.
+    """
+    for item in selection:
+        if not isinstance(item, MeasureId):
+            raise ValueError(f"{item!r} is not a MeasureId")
+    if not selection:
+        raise ValueError("empty measure selection")
+    return tuple(
+        (m, _FORMULAS[m], m.ni_index is not None)
+        for m in sorted(set(selection), key=_POSITION.__getitem__)
+    )
+
+
+def _run(plan, matrix: AugmentedConfusionMatrix, strict: bool) -> list[MeasureValue]:
+    """The plan's values on one matrix; an invariant violation names the matrix."""
+    record = _Record(matrix)
+    values = []
+    # tuple.__new__ builds a MeasureValue without namedtuple's Python-level __new__
+    new = tuple.__new__
+    try:
+        for measure, formula, bounded in plan:
+            value = formula(record)
+            if value is None:
+                if strict:
+                    raise ValueError(
+                        f"{measure.value} needs a 2-class matrix, got {matrix.n_classes} classes"
+                    )
+            elif bounded and value is not SINGULAR:
+                value = _snap_unit(value, measure)
+            values.append(new(MeasureValue, (measure, value)))
+    except InvariantViolation as exc:
+        counts = [list(row) for row in matrix.counts]
+        raise InvariantViolation(
+            f"{exc} in model {matrix.model_name!r}, counts {counts}"
+        ) from None
+    return values
 
 
 def evaluate(measure: MeasureId, matrix: AugmentedConfusionMatrix) -> MeasureValue:
     """Apply one catalog measure to a matrix."""
-    return _evaluate(_Record(matrix), measure, strict=True)
+    return _run(_plan((measure,)), matrix, strict=True)[0]
 
 
 def evaluate_all(
@@ -371,13 +407,8 @@ def evaluate_all(
 
     Quantities the measures share are computed once per call.  The
     2-class-only Precision, Recall and F1 raise ValueError on a larger
-    matrix, or get the value None when ``strict`` is false.
+    matrix, or get the value None when ``strict`` is false.  An item
+    that is not a MeasureId raises ValueError.
     """
-    if selection is None:
-        selected: Iterable[MeasureId] = _INFORMATION
-    else:
-        selected = sorted(dict.fromkeys(selection), key=_POSITION.__getitem__)
-        if not selected:
-            raise ValueError("empty measure selection")
-    record = _Record(matrix)
-    return [_evaluate(record, m, strict) for m in selected]
+    plan = _plan(_INFORMATION if selection is None else tuple(selection))
+    return _run(plan, matrix, strict)

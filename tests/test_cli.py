@@ -10,6 +10,7 @@ import time
 import pytest
 
 import infoeval.cli as cli
+import infoeval.measures as measures
 from infoeval import (
     SINGULAR, CanonicalKind, CanonicalModel, InvariantViolation, MeasureId, evaluate,
 )
@@ -372,6 +373,26 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "eval", "binary_models")
         assert code == 2
         assert "invariant violation" in err
+
+    def test_invariant_violation_names_the_model(self, capsys, monkeypatch, tmp_path):
+        # the second model gets I = 5 bits over H(T) = 1 bit, so NI1 = 5
+        calls = []
+
+        def second_breaks(d):
+            calls.append(d)
+            return 5.0 if len(calls) == 2 else real(d)
+
+        real = measures.mutual_information
+        monkeypatch.setattr(measures, "mutual_information", second_breaks)
+        batch = tmp_path / "batch.json"
+        batch.write_text('[{"name": "first", "matrix": [[9, 1], [2, 8]]},'
+                         ' {"name": "second", "matrix": [[7, 3, 1], [0, 9, 2]]}]')
+        code, out, err = run_cli(capsys, "eval", str(batch), "--measures", "NI1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invariant violation: NI1 = 5.0 is outside [0, 1]"
+            " in model 'second', counts [[7, 3, 1], [0, 9, 2]]\n"
+        )
 
     @pytest.mark.parametrize("argv, message", [
         (("eval", "binary_models", "--round", "q"), "--round: invalid int value: 'q'"),

@@ -336,6 +336,14 @@ class TestEvaluateAll:
         (value,) = evaluate_all(binary_models["M6"], [MeasureId.NI20])
         assert value.is_singular
 
+    @pytest.mark.parametrize("item", ["NI1", 1, None], ids=["str", "int", "None"])
+    def test_item_that_is_not_a_measure_id_is_named(self, binary_models, item):
+        matrix = binary_models["M1"]
+        with pytest.raises(ValueError, match=f"^{item!r} is not a MeasureId$"):
+            evaluate_all(matrix, [MeasureId.NI2, item])
+        with pytest.raises(ValueError, match=f"^{item!r} is not a MeasureId$"):
+            evaluate(item, matrix)
+
 
 class TestUnitIntervalInvariant:
     def test_noise_band_is_snapped(self):
