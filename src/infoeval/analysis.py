@@ -216,10 +216,11 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     The gap of :func:`crossover_gap` strictly increases with p1, so on a
     scan of p1 over (0.5, 1) it is negative up to one grid point and
     not negative from there on.  The one bracket ends at that first
-    point, which may be an exact zero (p1 = 0.75 when n = 4d); it is
-    bisected until it is narrower than 1e-10.  A gap that is not
-    negative at the first point, or still negative at the last, has no
-    crossing on the scan and raises.
+    point, which may be an exact zero (p1 = 0.75 when n = 4d), or at
+    p1 = 1 where the whole scan is negative (n/d above about 3.679e11):
+    the gap grows without bound as the small class empties.  The
+    bracket is bisected until it is narrower than 1e-10, so p1 = 1
+    itself is never evaluated.
     """
     if not n > 2 * d > 0:
         raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
@@ -227,14 +228,13 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     lo, hi = 0.5 + eps, 1.0 - eps
     xs = [lo + (hi - lo) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)]
     fs = [crossover_gap(x, n, d) for x in xs]
-    # the first point whose gap is not negative; 0 when there is none
-    k = next((k for k, f in enumerate(fs) if not f < 0.0), 0)
-    if k == 0:
-        raise ValueError(
-            f"no sign change of the cost gap on ({lo}, {hi}) for n={n}, d={d}"
-        )
+    # the first point whose gap is not negative, else the end p1 = 1;
+    # the gap at lo is negative for every n > 2d, so k > 0
+    xs.append(1.0)
+    k = next((k for k, f in enumerate(fs) if not f < 0.0), len(fs))
     bracket = a, b = xs[k - 1], xs[k]
-    # 23 halvings of the ~5e-4 bracket; floats in (0.5, 1) are 1.1e-16 apart
+    # 23 halvings of a ~5e-4 grid bracket, 14 of the 1e-6 end bracket;
+    # floats in (0.5, 1) are 1.1e-16 apart
     while b - a >= _P_TOL:
         mid = 0.5 * (a + b)
         if crossover_gap(mid, n, d) < 0.0:
@@ -281,7 +281,11 @@ def rank_canonical(c1: int, c2: int, d: int) -> CanonicalRanking:
     """Order the four canonical departures by NI2, best first.
 
     The observed order (direct NI2 evaluation) is returned alongside
-    the order the cross-over rule predicts from p1 = c1/n vs omega.
+    the order the cross-over rule predicts from the closed-form costs
+    of the large-class error and the small-class reject: p1 = c1/n vs
+    the exact omega, free of omega's 1e-10 tolerance.  Past n/d of
+    about 1e13 the four NI2 values can tie in floats, so the observed
+    order, and ``consistent``, can be wrong.
     """
     models = tuple(CanonicalModel(kind, c1, c2, d) for kind in CanonicalKind)
     ni2 = {
@@ -289,17 +293,11 @@ def rank_canonical(c1: int, c2: int, d: int) -> CanonicalRanking:
         for model in models
     }
     observed = tuple(sorted(ni2, key=lambda kind: ni2[kind], reverse=True))
-    omega = crossover_omega(c1 + c2, d)
-    p1 = c1 / (c1 + c2)
-    predicted = _BELOW_OMEGA if p1 < omega else _ABOVE_OMEGA
-    return CanonicalRanking(
-        models=models,
-        ni2=ni2,
-        observed=observed,
-        predicted=predicted,
-        p1=p1,
-        omega=omega,
-    )
+    # models follow CanonicalKind: the large-class error, then the small-class reject
+    large_error, small_reject = (delta_I(model) for model in models[1:3])
+    predicted = _BELOW_OMEGA if large_error < small_reject else _ABOVE_OMEGA
+    p1, omega = c1 / (c1 + c2), crossover_omega(c1 + c2, d)
+    return CanonicalRanking(models, ni2, observed, predicted, p1, omega)
 
 
 def classify_canonical(matrix: AugmentedConfusionMatrix) -> CanonicalModel | None:

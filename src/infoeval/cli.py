@@ -316,10 +316,7 @@ def _theorem_record(model: AugmentedConfusionMatrix, rank_canonical) -> dict:
     }
     canonical = analysis.classify_canonical(model)
     if canonical is not None:
-        try:
-            ranking = rank_canonical(canonical.c1, canonical.c2, canonical.d)
-        except ValueError as exc:
-            raise ValueError(f"{model.model_name}: {exc}") from None
+        ranking = rank_canonical(canonical.c1, canonical.c2, canonical.d)
         record["canonical"] = {
             "kind": canonical.kind.value,
             "c1": canonical.c1,

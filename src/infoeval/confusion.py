@@ -242,7 +242,8 @@ def to_binary(matrix: AugmentedConfusionMatrix) -> BinaryConfusion:
     return BinaryConfusion(tn=tn, fp=fp, rn=rn, fn=fn, tp=tp, rp=rp)
 
 
-def _matrix_from_json_value(value, where: str) -> AugmentedConfusionMatrix:
+def _matrix_from_json_value(value, where: str, batch: bool = False) -> AugmentedConfusionMatrix:
+    # shape errors start with where, and so do a batch entry's count errors
     name = None
     if isinstance(value, dict):
         if "matrix" not in value:
@@ -254,7 +255,10 @@ def _matrix_from_json_value(value, where: str) -> AugmentedConfusionMatrix:
         value = value["matrix"]
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ValueError(f"{where}: expected a 2-D array of counts")
-    return AugmentedConfusionMatrix.from_rows(value, model_name=name)
+    try:
+        return AugmentedConfusionMatrix.from_rows(value, model_name=name)
+    except ValueError as exc:
+        raise (ValueError(f"{where}: {exc}") if batch else exc) from None
 
 
 def parse_matrices(raw: str, format: str = "json") -> list[AugmentedConfusionMatrix]:
@@ -282,7 +286,7 @@ def parse_matrices(raw: str, format: str = "json") -> list[AugmentedConfusionMat
         ):
             return [_matrix_from_json_value(data, "matrix")]
         return [
-            _matrix_from_json_value(entry, f"matrix {k + 1}")
+            _matrix_from_json_value(entry, f"matrix {k + 1}", batch=True)
             for k, entry in enumerate(data)
         ]
     if format == "csv":

@@ -368,7 +368,7 @@ def _plan(selection: tuple) -> tuple[tuple[MeasureId, Callable, bool], ...]:
 
 
 def _run(plan, matrix: AugmentedConfusionMatrix, strict: bool) -> list[MeasureValue]:
-    """The plan's values on one matrix; an invariant violation names the matrix."""
+    """The plan's values on one matrix; each error it raises names the matrix."""
     record = _Record(matrix)
     values = []
     # tuple.__new__ builds a MeasureValue without namedtuple's Python-level __new__
@@ -384,11 +384,9 @@ def _run(plan, matrix: AugmentedConfusionMatrix, strict: bool) -> list[MeasureVa
             elif bounded and value is not SINGULAR:
                 value = _snap_unit(value, measure)
             values.append(new(MeasureValue, (measure, value)))
-    except InvariantViolation as exc:
+    except (InvariantViolation, ValueError) as exc:
         counts = [list(row) for row in matrix.counts]
-        raise InvariantViolation(
-            f"{exc} in model {matrix.model_name!r}, counts {counts}"
-        ) from None
+        raise type(exc)(f"{exc} in model {matrix.model_name!r}, counts {counts}") from None
     return values
 
 

@@ -245,6 +245,12 @@ class TestCrossover:
         lo, hi = result.brackets[0]
         assert lo < result.omega < hi
 
+    def test_end_bracket_past_the_scan(self):
+        # n/d above about 3.679e11: the gap is negative on the whole scan
+        result = crossover_analysis(400000000001, 1)
+        assert result.brackets == ((SCAN[-1], 1.0),)
+        assert SCAN[-1] < result.omega < 1.0
+
     def test_monotone_in_n_and_d(self):
         assert crossover_omega(200, 1) > crossover_omega(100, 1)
         assert crossover_omega(100, 2) < crossover_omega(100, 1)
@@ -315,20 +321,21 @@ class TestGapMonotoneOnScan:
 
 
 def exact_omega(n, d):
-    """The cross-over share to 50 digits, bisected over (0.5, 0.9999999).
+    """The cross-over share to 100 digits, bisected over (0.5, 1).
 
     With x = (1 - p1) n, n ln(2) gap = (x - d) ln x - (x + d) ln(x + d)
-    + d ln(d n); 50 halvings leave a bracket of 4.4e-16.
+    + d ln(d n).  Its terms reach about 1e79 for n near 2**255, so 100
+    digits keep its sign exact; 50 halvings leave a bracket of 4.4e-16.
     """
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 100
         n, d = Decimal(n), Decimal(d)
 
         def gap(p1):
             x = (1 - p1) * n
             return (x - d) * x.ln() - (x + d) * (x + d).ln() + d * (d * n).ln()
 
-        a, b = Decimal("0.5"), Decimal("0.9999999")
+        a, b = Decimal("0.5"), Decimal(1)
         for _ in range(50):
             mid = (a + b) / 2
             if gap(mid) < 0:
@@ -338,24 +345,36 @@ def exact_omega(n, d):
         return float((a + b) / 2)
 
 
-# n/d log-spaced from 1e2 to 3.6787e11; the scan solves up to 3.67879e11
-EXACT_RATIOS = [10 ** (2 + i * (math.log10(3.6787e11) - 2) / 20) for i in range(21)]
+# n/d log-spaced from 1e2 to 3.6787e11, where the scan brackets the root,
+# then on to 2**254, where the root lies between the scan's end and 1
+EXACT_RATIOS = [10 ** (2 + i * (math.log10(3.6787e11) - 2) / 20) for i in range(21)] + [
+    10 ** (11.6 + i * (math.log10(2.0**254) - 11.6) / 12) for i in range(1, 13)
+]
 
 
 class TestCrossoverAgainstExactRoot:
     """The bisection runs to a fixed width, so omega is within 1e-10 of
-    the root at every n/d, also where the gap is tiny (large n/d)."""
+    the root at every n/d, also where the gap is tiny (large n/d) and
+    where the root lies past the scan (n/d above about 3.679e11)."""
 
     @pytest.mark.parametrize("d", [1, 7, 1000])
     def test_omega_within_1e_10(self, d):
         for ratio in EXACT_RATIOS:
             n = round(d * ratio)
-            assert abs(crossover_omega(n, d) - exact_omega(n, d)) <= 1e-10, (n, d)
+            if n < 2**255:  # the largest valid total
+                assert abs(crossover_omega(n, d) - exact_omega(n, d)) <= 1e-10, (n, d)
 
-    @pytest.mark.parametrize("c2", [194000, 195000, 196000])
-    def test_rank_canonical_consistent_near_the_root(self, c2):
+    @pytest.mark.parametrize("c1, c2, d", [
         # p1 = 1 - c2 / 1e11 lies 2e-8 to 4.2e-8 below omega = 0.99999808198
-        assert rank_canonical(10**11 - c2, c2, 1).consistent
+        *(pytest.param(10**11 - c2, c2, 1, id=str(c2)) for c2 in (194000, 195000, 196000)),
+        # c2 within 2 of the root, where p1 lies closer to omega than
+        # omega's 1e-10 tolerance
+        (10689522152, 4132346, 4343),
+        (3405089333, 1119158, 1000),
+        (132141403, 131713, 357),
+    ])
+    def test_rank_canonical_consistent_near_the_root(self, c1, c2, d):
+        assert rank_canonical(c1, c2, d).consistent
 
 
 class TestRankCanonical:

@@ -347,15 +347,12 @@ class TestErrorsAndExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: {message}")
 
-    def test_theorems_error_names_the_model(self, capsys, tmp_path):
-        # n/d above about 3.679e11 puts omega above the scan grid's end
-        path = tmp_path / "huge.json"
-        path.write_text("[[300000000000, 1, 0], [0, 100000000000, 0]]")
-        code, out, err = run_cli(capsys, "theorems", str(path))
+    def test_binary_only_measure_names_the_model(self, capsys):
+        code, out, err = run_cli(capsys, "rank", "three_class_models", "--measures", "F1")
         assert (code, out) == (1, "")
         assert err == (
-            "error: M1: no sign change of the cost gap on (0.500001, 0.999999)"
-            " for n=400000000001, d=1\n"
+            "error: F1 needs a 2-class matrix, got 3 classes"
+            " in model 'M7', counts [[80, 0, 0, 0], [0, 15, 0, 0], [1, 0, 4, 0]]\n"
         )
 
     def test_rank_needs_two_models(self, capsys, tmp_path):
@@ -541,3 +538,37 @@ class TestCrossoverNearTheScanEnd:
         records = json.loads(out)
         assert len(records) == 4
         assert all(r["canonical"]["consistent"] for r in records)
+
+
+def canonical_record(capsys, tmp_path, rows):
+    """``theorems``' canonical block for one matrix; the call must exit 0."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "theorems", str(path), "--format", "json",
+                             "--precision", "raw")
+    assert (code, err) == (0, "")
+    (record,) = json.loads(out)
+    return record["canonical"]
+
+
+class TestCrossoverPastTheScanEnd:
+    """n/d above about 3.679e11 puts omega between the scan's end and 1."""
+
+    @pytest.mark.parametrize("rows", [
+        [[300000000000, 1, 0], [0, 100000000000, 0]],
+        [[1152921504606846975, 1, 0], [0, 576460752303423488, 0]],
+    ], ids=["4e11", "1.7e18"])
+    def test_theorems_exits_0(self, capsys, tmp_path, rows):
+        assert 0.5 < canonical_record(capsys, tmp_path, rows)["omega"] < 1.0
+
+    def test_theorems_is_consistent(self, capsys, tmp_path):
+        canonical = canonical_record(capsys, tmp_path,
+                                     [[300000000000, 1, 0], [0, 100000000000, 0]])
+        assert (canonical["omega"], canonical["consistent"]) == (0.9999990409851074, True)
+
+    def test_omega_at_the_largest_n(self, capsys):
+        code, out, err = run_cli(capsys, "omega", "--n", str(2**255 - 1), "--d", "1",
+                                 "--format", "json", "--precision", "raw")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["omega"], payload["sign_changes"]) == (0.9999999999694824, 1)

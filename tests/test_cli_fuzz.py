@@ -1,11 +1,13 @@
-"""Fuzzing ``cli.main`` in-process: any input file gets exit 0 or 1.
+"""Fuzzing ``cli.main`` in-process: any input gets exit 0 or 1.
 
 Inputs are arbitrary text, arbitrary JSON trees (nested lists and
 objects, bools, NaN and infinities, huge integers, strings), mostly
 well-formed count tables, and CSV lines, run through ``eval``, ``rank``
-and ``theorems`` in every format and both precision modes.  No call may
-raise, and a message on stderr comes with exit 1 only.  The one
-exception, exit 2 at very large totals, is a known defect (below).
+and ``theorems`` in every format and both precision modes.  ``omega``
+and ``sweep`` get arbitrary text for ``--n``, ``--d`` and ``--step``,
+and ``omega`` answers every valid n > 2d.  No call may raise, and a
+message on stderr comes with exit 1 only.  The one exception, exit 2 at
+very large totals, is a known defect (below).
 """
 import contextlib
 import io
@@ -120,3 +122,46 @@ def test_json_trees(input_dir, tree, opts):
 @given(csv_text, options)
 def test_csv_lines(input_dir, text, opts):
     run_all_commands(input_dir, text, ".csv", *opts)
+
+
+def run_main(argv):
+    """``main``'s exit code, stdout and stderr; argparse's usage errors
+    end in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+counts_text = st.text() | st.integers(-5, 2**256).map(str)
+# --step at least 1e-3 keeps a sweep to 500 grid points
+step_text = st.text() | st.floats(1e-3, 1.0).map(repr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["omega", "sweep"]), counts_text, counts_text, step_text, options)
+def test_count_options_arbitrary_text(command, n, d, step, opts):
+    argv = [command, "--n", n, "--d", d, "--format", opts[0], "--precision", opts[1]]
+    code, _, message = run_main(argv + (["--step", step] if command == "sweep" else []))
+    assert code in (0, 1), (argv, code, message)
+    assert (code == 0) == (message == ""), (argv, message)
+
+
+@st.composite
+def valid_splits(draw):
+    """n > 2d > 0 with n below 2**255, the bound on every count."""
+    d = draw(st.integers(1, 1000) | st.integers(1, 2**254 - 1))
+    return draw(st.integers(2 * d + 1, 2**255 - 1)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_splits())
+def test_omega_answers_every_valid_split(split):
+    n, d = split
+    code, out, err = run_main(["omega", "--n", str(n), "--d", str(d),
+                               "--format", "json", "--precision", "raw"])
+    assert (code, err) == (0, ""), split
+    assert 0.5 < json.loads(out)["omega"] < 1.0, split

@@ -191,6 +191,21 @@ class TestJsonParsing:
         with pytest.raises(ValueError, match="matrix 2"):
             parse_matrices(raw)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([[1, -1, 0], [0, 1, 0]], "row 1, column 2: negative entry -1"),
+        ([[1, 0, 0], [0, 1]], "ragged rows: row 2 has 2 entries, expected 3"),
+        ([[0, 0, 0], [0, 1, 0]], "row total is zero (class 1)"),
+    ], ids=["negative", "ragged", "zero-row"])
+    def test_batch_count_error_names_the_entry_once(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrices(json.dumps([{"name": "a", "matrix": [[1, 0], [0, 1]]},
+                                       {"name": "b", "matrix": bad}]))
+        assert str(info.value) == f"matrix 2: {message}"
+        # alone, the same matrix is the whole input: the cell is named only
+        with pytest.raises(ValueError) as info:
+            parse_matrices(json.dumps(bad))
+        assert str(info.value) == message
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown input format"):
             parse_matrices("[[1, 0], [0, 1]]", format="xml")
