@@ -210,6 +210,12 @@ class CrossoverResult(namedtuple("CrossoverResult", "n d omega brackets")):
         return len(self.brackets)
 
 
+def _check_split(n: int, d: int) -> None:
+    # the small class holds fewer than n/2 samples and must give up d
+    if not n > 2 * d > 0:
+        raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
+
+
 def crossover_analysis(n: int, d: int) -> CrossoverResult:
     """Locate where the large-class-error and small-class-reject costs cross.
 
@@ -222,8 +228,7 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     bracket is bisected until it is narrower than 1e-10, so p1 = 1
     itself is never evaluated.
     """
-    if not n > 2 * d > 0:
-        raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
+    _check_split(n, d)
     eps = 1e-6
     lo, hi = 0.5 + eps, 1.0 - eps
     xs = [lo + (hi - lo) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)]
@@ -372,9 +377,11 @@ SweepPoint = namedtuple(
 def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoint, ...]:
     """The four cost curves over a grid of large-class shares.
 
-    Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  Grid
-    points must lie strictly inside (0.5, 1).
+    Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  As in
+    :func:`crossover_analysis`, n must exceed 2d > 0; grid points must
+    lie strictly inside (0.5, 1).
     """
+    _check_split(n, d)
     points = []
     for p1 in grid:
         if not 0.5 < p1 < 1.0:

@@ -11,8 +11,8 @@ Five subcommands cover the library surface:
 Each handler returns its result once, as raw values, and one renderer
 prints it as markdown (default), CSV, or JSON; Singular values print
 as "S", and ``--round``/``--precision`` apply to every format.  Exit
-codes: 0 on success, 1 on bad input, 2 when an internal invariant
-fails.
+codes: 0 on success, 1 on bad input or a failed write of the result,
+2 when an internal invariant fails.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -389,7 +390,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (ValueError, OSError) as exc:
+        # a closed pipe, a full disk, or a character the stream cannot
+        # encode; the interpreter flushes stdout once more at exit, and
+        # what is left must go to devnull or that flush fails too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -4,7 +4,9 @@ A classification with a reject option is summarized by an m x (m+1)
 table of counts: one row per true class, one column per predicted
 class, and a final column counting the samples the classifier refused
 to label.  Everything downstream (information measures, rankings,
-cost analysis) consumes only this table.
+cost analysis) consumes only this table.  ``parse_matrices`` is the
+one parser of JSON and CSV text, and a matrix's ``distributions()``
+gives its relative frequencies.
 """
 from __future__ import annotations
 
@@ -15,9 +17,7 @@ __all__ = [
     "AugmentedConfusionMatrix",
     "BinaryConfusion",
     "EmpiricalDistribution",
-    "empirical_distributions",
     "parse_matrices",
-    "parse_matrix",
     "to_binary",
 ]
 
@@ -51,20 +51,19 @@ class AugmentedConfusionMatrix:
     positive total for every true class, and a total n below 2**255,
     so that every share c/n and every product of up to four shares is
     a normal float.  The totals are computed once, at construction;
-    ``==``, ``hash`` and ``repr`` read only the first three fields.
+    ``==``, ``hash`` and ``repr`` read only ``counts`` and ``model_name``.
     """
 
     counts: tuple[tuple[int, ...], ...]
-    class_labels: tuple[str, ...] | None
     model_name: str | None
     row_totals: tuple[int, ...]
     column_totals: tuple[int, ...]
     total: int  # n, the sample count
     reject_total: int
-    __slots__ = ("counts", "class_labels", "model_name",
+    __slots__ = ("counts", "model_name",
                  "row_totals", "column_totals", "total", "reject_total")
 
-    def __init__(self, counts, class_labels=None, model_name=None):
+    def __init__(self, counts, model_name=None):
         rows = tuple(tuple(row) for row in counts)
         m = len(rows)
         if m < 2:
@@ -89,19 +88,13 @@ class AugmentedConfusionMatrix:
         if n >= _MAX_TOTAL:
             raise ValueError(f"total count {n} is too large; it must be below 2**255")
         column_totals = tuple(map(sum, zip(*checked)))
-        if class_labels is not None:
-            class_labels = tuple(str(x) for x in class_labels)
-            if len(class_labels) != m:
-                raise ValueError(
-                    f"expected {m} class labels, got {len(class_labels)}"
-                )
-        values = (tuple(checked), class_labels, model_name, tuple(row_totals),
+        values = (tuple(checked), model_name, tuple(row_totals),
                   column_totals, n, column_totals[-1])  # in __slots__ order
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _key(self):
-        return self.counts, self.class_labels, self.model_name
+        return self.counts, self.model_name
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -112,7 +105,7 @@ class AugmentedConfusionMatrix:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return "{}(counts={!r}, class_labels={!r}, model_name={!r})".format(
+        return "{}(counts={!r}, model_name={!r})".format(
             type(self).__name__, *self._key())
 
     def __setattr__(self, name, value=None):
@@ -124,7 +117,7 @@ class AugmentedConfusionMatrix:
         return type(self), self._key()
 
     @classmethod
-    def from_rows(cls, rows, *, class_labels=None, model_name=None):
+    def from_rows(cls, rows, *, model_name=None):
         """Build a matrix, zero-padding a missing reject column.
 
         Accepts m x m (no reject column) or m x (m+1) input.
@@ -133,25 +126,22 @@ class AugmentedConfusionMatrix:
         m = len(rows)
         if m >= 2 and all(len(row) == m for row in rows):
             rows = [row + [0] for row in rows]
-        return cls(rows, class_labels=class_labels, model_name=model_name)
+        return cls(rows, model_name=model_name)
 
     @property
     def n_classes(self) -> int:
         return len(self.counts)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Column labels: the m class names plus \"reject\"."""
-        base = self.class_labels or tuple(
-            str(i) for i in range(1, self.n_classes + 1)
-        )
-        return (*base, "reject")
-
     def with_name(self, name: str) -> "AugmentedConfusionMatrix":
-        return type(self)(self.counts, self.class_labels, name)
+        return type(self)(self.counts, name)
 
     def distributions(self) -> "EmpiricalDistribution":
-        return empirical_distributions(self)
+        """Relative frequencies p_ij = c_ij / n with both marginals."""
+        n = self.total
+        joint = tuple(tuple(c / n for c in row) for row in self.counts)
+        row_marginal = tuple(t / n for t in self.row_totals)
+        col_marginal = tuple(t / n for t in self.column_totals)
+        return EmpiricalDistribution(joint, row_marginal, col_marginal, n)
 
 
 class EmpiricalDistribution(
@@ -181,15 +171,6 @@ class EmpiricalDistribution(
         assigns no mass to "reject".
         """
         return (*self.row_marginal, 0.0)
-
-
-def empirical_distributions(matrix: AugmentedConfusionMatrix) -> EmpiricalDistribution:
-    """Relative frequencies p_ij = c_ij / n with both marginals."""
-    n = matrix.total
-    joint = tuple(tuple(c / n for c in row) for row in matrix.counts)
-    row_marginal = tuple(t / n for t in matrix.row_totals)
-    col_marginal = tuple(t / n for t in matrix.column_totals)
-    return EmpiricalDistribution(joint, row_marginal, col_marginal, n)
 
 
 class BinaryConfusion(namedtuple("BinaryConfusion", "tn fp rn fn tp rp")):
@@ -292,14 +273,6 @@ def parse_matrices(raw: str, format: str = "json") -> list[AugmentedConfusionMat
     if format == "csv":
         return [_parse_csv(raw)]
     raise ValueError(f"unknown input format {format!r}")
-
-
-def parse_matrix(raw: str, format: str = "json") -> AugmentedConfusionMatrix:
-    """Parse exactly one matrix from text (see parse_matrices)."""
-    matrices = parse_matrices(raw, format)
-    if len(matrices) != 1:
-        raise ValueError(f"expected a single matrix, found {len(matrices)}")
-    return matrices[0]
 
 
 def _csv_number(cell: str):

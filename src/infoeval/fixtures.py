@@ -15,6 +15,7 @@ The package ships a small set of JSON fixture files (see the
 Set the ``INFOEVAL_FIXTURES`` environment variable to point at an
 alternate fixture directory.  A fixture there is a ``.json`` or
 ``.csv`` file, loadable by its stem as the bundled ones are.
+``load`` is the one loader of input files, the CLI's included.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import confusion
 
-__all__ = ["available", "fixtures_dir", "input_format", "load", "resolve"]
+__all__ = ["available", "fixtures_dir", "load", "resolve"]
 
 ENV_VAR = "INFOEVAL_FIXTURES"
 
@@ -58,20 +59,17 @@ def resolve(name: str) -> Path:
     raise ValueError(f"{name}: no such file or bundled fixture; available: {known}")
 
 
-def input_format(path: Path) -> str:
-    """The format an input file is parsed as: CSV by its suffix, else JSON."""
-    return "csv" if path.suffix.lower() == ".csv" else "json"
-
-
 def load(name: str) -> list[confusion.AugmentedConfusionMatrix]:
     """Load matrices from a fixture stem, fixture file name, or path.
 
-    The file is read as UTF-8, a leading byte-order mark allowed, and a
-    parse error names the file.
+    The file is read as UTF-8, a leading byte-order mark allowed, and
+    parsed as CSV if its suffix is ``.csv`` in any case, else as JSON.
+    A parse error names the file.
     """
     path = resolve(name)
     try:
         text = path.read_text(encoding="utf-8-sig")
-        return confusion.parse_matrices(text, input_format(path))
+        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
+        return confusion.parse_matrices(text, fmt)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

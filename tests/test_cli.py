@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -283,6 +284,13 @@ class TestOmegaAndSweep:
         assert code == 1
         assert "n > 2d" in err
 
+    @pytest.mark.parametrize("n, d", [(2, 1), (1, 5), (2**255 - 1, 2**255 - 1)],
+                             ids=["n=2d", "n<d", "n=d=2**255-1"])
+    def test_sweep_needs_n_above_2d(self, capsys, n, d):
+        # with n <= 2d every grid point moves more samples than c2 holds
+        code, out, err = run_cli(capsys, "sweep", "--n", str(n), "--d", str(d))
+        assert (code, out, err) == (1, "", f"error: need n > 2d > 0, got n={n}, d={d}\n")
+
     @pytest.mark.parametrize("command", ["omega", "sweep"])
     @pytest.mark.parametrize("option, n, d", [
         ("--n", 10**400, 1),
@@ -297,7 +305,7 @@ class TestOmegaAndSweep:
 
     def test_largest_counts_still_compute(self, capsys):
         big = str(2**255 - 1)
-        assert run_cli(capsys, "sweep", "--n", big, "--d", big, "--step", "0.2")[0] == 0
+        assert run_cli(capsys, "sweep", "--n", big, "--d", str(2**253), "--step", "0.2")[0] == 0
         assert run_cli(capsys, "omega", "--n", big, "--d", str(2**253))[0] == 0
 
     def test_tiny_step_fails_before_building_a_grid(self, capsys):
@@ -410,6 +418,63 @@ class TestErrorsAndExitCodes:
                 main(argv)
             assert info.value.code == 1
             capsys.readouterr()
+
+
+class TestFailedWrite:
+    """A result that cannot be written exits 1 with one error line."""
+
+    @staticmethod
+    def run_cli_process(stdout, buffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "infoeval.cli", "eval", "binary_models"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_pipe(self, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            result = self.run_cli_process(write_end, buffered)
+        finally:
+            os.close(write_end)
+        # no traceback, and no "Exception ignored" from the flush at exit
+        assert (result.returncode, result.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            result = self.run_cli_process(full, buffered)
+        assert (result.returncode, result.stderr) == (
+            1, "error: [Errno 28] No space left on device\n")
+
+    def test_closed_pipe_in_process(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["eval", "binary_models"]) == 1
+            # stdout's descriptor now leads to devnull, so what is left flushes
+            stream.write("more")
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_unencodable_name(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text('{"name": "caf\\u00e9", "matrix": [[5, 1], [2, 7]]}')
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader, open(write_end, "w", encoding="ascii") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["eval", str(path)]) == 1
+            stream.close()
+            assert reader.read() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -7,11 +7,9 @@ from infoeval import (
     AugmentedConfusionMatrix,
     BinaryConfusion,
     MeasureId,
-    empirical_distributions,
     evaluate,
     evaluate_all,
     parse_matrices,
-    parse_matrix,
     parse_selection,
     to_binary,
 )
@@ -77,18 +75,6 @@ class TestConstruction:
         m = AugmentedConfusionMatrix.from_rows([[5, 1, 2], [2, 7, 0]])
         assert m.counts == ((5, 1, 2), (2, 7, 0))
 
-    def test_default_labels(self):
-        m = AugmentedConfusionMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-        assert m.labels == ("1", "2", "3", "reject")
-
-    def test_custom_labels(self):
-        m = AugmentedConfusionMatrix(((1, 0, 0), (0, 1, 0)), class_labels=("neg", "pos"))
-        assert m.labels == ("neg", "pos", "reject")
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError, match="class labels"):
-            AugmentedConfusionMatrix(((1, 0, 0), (0, 1, 0)), class_labels=("only",))
-
     def test_with_name(self):
         m = AugmentedConfusionMatrix(((1, 0, 0), (0, 1, 0)))
         named = m.with_name("baseline")
@@ -100,7 +86,7 @@ class TestConstruction:
 class TestDistributions:
     def test_joint_times_n_recovers_counts(self):
         m = AugmentedConfusionMatrix(((57, 38, 0), (3, 2, 0)))
-        d = empirical_distributions(m)
+        d = m.distributions()
         assert d.n == 100
         for i, row in enumerate(d.joint):
             for j, p in enumerate(row):
@@ -186,6 +172,15 @@ class TestJsonParsing:
         with pytest.raises(ValueError, match="non-empty"):
             parse_matrices("[]")
 
+    @pytest.mark.parametrize("raw, where", [
+        ('{"matrix": 5}', "matrix"),
+        ('{"matrix": [[1, 0], 0]}', "matrix"),
+        ("[[[1, 0], [0, 1]], [1, 0]]", "matrix 2"),
+    ], ids=["object", "object-row", "batch-entry"])
+    def test_not_a_2d_array(self, raw, where):
+        with pytest.raises(ValueError, match=f"^{where}: expected a 2-D array of counts$"):
+            parse_matrices(raw)
+
     def test_batch_error_names_position(self):
         raw = json.dumps([[[1, 0], [0, 1]], {"name": "bad"}])
         with pytest.raises(ValueError, match="matrix 2"):
@@ -232,17 +227,6 @@ class TestCsvParsing:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no numeric rows"):
             parse_matrices("only, a, header\n", format="csv")
-
-
-class TestParseMatrix:
-    def test_single(self):
-        m = parse_matrix("[[1, 0], [0, 1]]")
-        assert m.n_classes == 2
-
-    def test_multiple_rejected(self):
-        raw = json.dumps([[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
-        with pytest.raises(ValueError, match="expected a single matrix, found 2"):
-            parse_matrix(raw)
 
 
 class TestCsvHeaderRule:

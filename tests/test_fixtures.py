@@ -67,11 +67,18 @@ def test_resolve_order(tmp_path, monkeypatch):
     assert fixtures.resolve(str(given)) == given
 
 
-def test_input_format_by_suffix(tmp_path):
-    assert fixtures.input_format(tmp_path / "m.csv") == "csv"
-    assert fixtures.input_format(tmp_path / "M.CSV") == "csv"
-    assert fixtures.input_format(tmp_path / "m.json") == "json"
-    assert fixtures.input_format(tmp_path / "m.txt") == "json"
+def test_load_picks_the_format_by_suffix(tmp_path):
+    # CSV for a .csv suffix in any case, JSON for every other suffix
+    upper = tmp_path / "M.CSV"
+    upper.write_text("5,1\n2,7\n")
+    other = tmp_path / "m.txt"
+    other.write_text("[[5, 1], [2, 7]]")
+    for path in (upper, other):
+        (loaded,) = fixtures.load(str(path))
+        assert loaded.counts == ((5, 1, 0), (2, 7, 0))
+    other.write_text("5,1\n2,7\n")
+    with pytest.raises(ValueError, match="malformed JSON"):
+        fixtures.load(str(other))
 
 
 def test_load_reads_csv_like_the_cli(tmp_path, capsys):

@@ -4,10 +4,11 @@ Pinned here: the ``repr`` text, ``==`` and ``hash`` between two
 instances of the same type, immutability (assignment raises
 ``AttributeError``), construction by keyword and by position with the
 defaults, every validation message, ``with_name``, and that a
-matrix's derived totals stay out of ``==``, ``hash`` and ``repr``.
-Comparison with other types is deliberately not pinned, except that a
-matrix never equals its counts.  ``SINGULAR`` survives pickle and copy
-as itself.
+matrix's ``==``, ``hash`` and ``repr`` read only ``counts`` and
+``model_name``, not its derived totals.  Comparison with other types is
+deliberately not pinned, except that a matrix never equals its counts.
+A named and an unnamed matrix survive pickle under every protocol, and
+copy; ``SINGULAR`` survives both as itself.
 """
 import copy
 import pickle
@@ -39,9 +40,8 @@ LARGE_REJECT = CanonicalKind.LARGE_CLASS_REJECT
 CASES = [
     (
         AugmentedConfusionMatrix,
-        {"counts": ((3, 1, 0), (0, 2, 1)), "class_labels": ("a", "b"), "model_name": "x"},
-        "AugmentedConfusionMatrix(counts=((3, 1, 0), (0, 2, 1)), "
-        "class_labels=('a', 'b'), model_name='x')",
+        {"counts": ((3, 1, 0), (0, 2, 1)), "model_name": "x"},
+        "AugmentedConfusionMatrix(counts=((3, 1, 0), (0, 2, 1)), model_name='x')",
     ),
     (
         EmpiricalDistribution,
@@ -172,7 +172,7 @@ def test_fields_cannot_be_assigned(cls, kwargs, text):
 
 def test_defaults():
     m = AugmentedConfusionMatrix(((1, 0, 0), (0, 1, 0)))
-    assert m.class_labels is None and m.model_name is None
+    assert m.model_name is None
     summary = PerformanceSummary(correct_rate=1.0, error_rate=0.0, reject_rate=0.0,
                                  accuracy=1.0)
     assert (summary.precision, summary.recall, summary.f1) == (None, None, None)
@@ -180,15 +180,14 @@ def test_defaults():
 
 
 def test_validation_normalizes_fields():
-    m = AugmentedConfusionMatrix([[1.0, 0, 0], [0, 2, 0]], class_labels=[1, 2])
+    m = AugmentedConfusionMatrix([[1.0, 0, 0], [0, 2, 0]])
     assert m.counts == ((1, 0, 0), (0, 2, 0))
-    assert m.class_labels == ("1", "2")
     assert type(m.counts[0][0]) is int
     assert MetaOrder([[1, 2]]).constraints == (("1", "2"),)
 
 
-def _matrix(counts, **kwargs):
-    return lambda: AugmentedConfusionMatrix(counts, **kwargs)
+def _matrix(counts):
+    return lambda: AugmentedConfusionMatrix(counts)
 
 
 VALIDATION = [
@@ -201,7 +200,6 @@ VALIDATION = [
     (_matrix(((1, 0, 0), (0, 0, 0))), "row total is zero (class 2)"),
     (_matrix(((2**255, 0, 0), (0, 1, 0))),
      f"total count {2**255 + 1} is too large; it must be below 2**255"),
-    (_matrix(((1, 0, 0), (0, 1, 0)), class_labels=("a",)), "expected 2 class labels, got 1"),
     (lambda: BinaryConfusion(1, 0, 0, 0, 1, -1), "rp must be a non-negative integer, got -1"),
     (lambda: BinaryConfusion(1, 0, 0, 0, 1.0, 0), "tp must be a non-negative integer, got 1.0"),
     (lambda: BinaryConfusion(True, 0, 0, 0, 1, 0), "tn must be a non-negative integer, got True"),
@@ -230,12 +228,11 @@ def test_binary_confusion_checks_fields_in_order():
 
 
 def test_with_name():
-    m = AugmentedConfusionMatrix(((3, 1, 0), (0, 2, 1)), class_labels=("a", "b"))
+    m = AugmentedConfusionMatrix(((3, 1, 0), (0, 2, 1)))
     named = m.with_name("x")
-    assert named == AugmentedConfusionMatrix(m.counts, ("a", "b"), "x")
+    assert named == AugmentedConfusionMatrix(m.counts, "x")
     assert type(named) is AugmentedConfusionMatrix
     assert m.model_name is None and named.model_name == "x"
-    assert named.class_labels == ("a", "b")
     assert (named.row_totals, named.column_totals, named.total, named.reject_total) == (
         (4, 3), (3, 3, 1), 7, 1)
     assert named.with_name(None) == m
@@ -243,14 +240,13 @@ def test_with_name():
 
 def test_matrix_totals_stay_out_of_eq_hash_and_repr():
     m = AugmentedConfusionMatrix(((3, 1, 0), (0, 2, 1)), model_name="x")
-    assert hash(m) == hash((m.counts, None, "x"))
+    assert hash(m) == hash((m.counts, "x"))
     for name in ("row_totals", "column_totals", "total", "reject_total"):
         assert f"{name}=" not in repr(m)
         with pytest.raises(AttributeError):
             setattr(m, name, 0)
     assert m == AugmentedConfusionMatrix([[3, 1, 0], [0, 2, 1]], model_name="x")
     assert m != AugmentedConfusionMatrix(m.counts, model_name="y")
-    assert m != AugmentedConfusionMatrix(m.counts, class_labels=("1", "2"), model_name="x")
     # __eq__ returns NotImplemented for a non-matrix, and the tuple's does too
     assert m.__eq__(m.counts) is NotImplemented
     assert (m == m.counts) is False
@@ -269,6 +265,17 @@ def test_pickle_and_copy_round_trip(cls, kwargs, text):
     for clone in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
                   copy.deepcopy(instance)):
         assert type(clone) is cls and clone == instance
+
+
+@pytest.mark.parametrize("name", ["x", None])
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_matrix_pickles_under_every_protocol(protocol, name):
+    m = AugmentedConfusionMatrix(((3, 1, 0), (0, 2, 1)), name)
+    for clone in (pickle.loads(pickle.dumps(m, protocol)), copy.copy(m), copy.deepcopy(m)):
+        assert type(clone) is AugmentedConfusionMatrix and clone == m
+        assert (clone.counts, clone.model_name) == (m.counts, name)
+        assert (clone.row_totals, clone.column_totals, clone.total, clone.reject_total) == (
+            (4, 3), (3, 3, 1), 7, 1)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
