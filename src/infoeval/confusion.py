@@ -4,9 +4,8 @@ A classification with a reject option is summarized by an m x (m+1)
 table of counts: one row per true class, one column per predicted
 class, and a final column counting the samples the classifier refused
 to label.  Everything downstream (information measures, rankings,
-cost analysis) consumes only this table.  ``parse_matrices`` is the
-one parser of JSON and CSV text, and a matrix's ``distributions()``
-gives its relative frequencies.
+cost analysis) consumes only this table; ``parse_matrices`` reads it
+from JSON or CSV text.
 """
 from __future__ import annotations
 

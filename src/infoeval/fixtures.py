@@ -15,7 +15,6 @@ The package ships a small set of JSON fixture files (see the
 Set the ``INFOEVAL_FIXTURES`` environment variable to point at an
 alternate fixture directory.  A fixture there is a ``.json`` or
 ``.csv`` file, loadable by its stem as the bundled ones are.
-``load`` is the one loader of input files, the CLI's included.
 """
 from __future__ import annotations
 
