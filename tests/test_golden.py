@@ -18,6 +18,18 @@ also pinned in the default fixed precision as markdown (``.md``), CSV
 
     python -m infoeval.cli eval binary_models --measures all --format csv
 
+``eval_degenerate_models.json`` and ``rank_degenerate_models.json``
+pin ``eval`` and ``rank`` with ``--measures all`` on
+``degenerate_models.json``, matrices whose ratios meet a zero or
+infinite denominator (every sample rejected, one predicted column, a
+cross entropy near 0 or infinite, an empty predicted class, no
+error).  It is not a bundled fixture.  Regenerate with::
+
+    python -m infoeval.cli eval tests/degenerate_models.json --measures all \\
+        --format json --precision raw > tests/golden/eval_degenerate_models.json
+
+and the same with ``rank``.
+
 ``help_omega.txt`` and ``help_sweep.txt`` hold ``omega --help`` and
 ``sweep --help`` at ``COLUMNS=80``; ``eval`` and ``rank`` help is left
 out, because Python 3.13 formats option aliases differently.
@@ -35,6 +47,7 @@ from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all, 
 from infoeval.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEGENERATE = Path(__file__).parent / "degenerate_models.json"
 
 COMMANDS = {
     "eval": ("--measures", "all"),
@@ -49,6 +62,14 @@ def test_output_matches_golden(capsys, command, fixture):
     argv = [command, fixture, *COMMANDS[command], "--format", "json", "--precision", "raw"]
     assert main(argv) == 0
     expected = (GOLDEN / f"{command}_{fixture}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_degenerate_output_matches_golden(capsys, command):
+    argv = [command, str(DEGENERATE), "--measures", "all", "--format", "json", "--precision", "raw"]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{command}_degenerate_models.json").read_text()
     assert capsys.readouterr().out == expected
 
 
