@@ -12,9 +12,9 @@ interval only within a 1e-9 float-noise band; anything further out is
 a bug in the formulas and raises :class:`InvariantViolation` instead
 of being clipped.
 
-Singularities follow the group conventions: divergence-group measures
-surface :data:`~infoeval.infocore.SINGULAR`, while cross-entropy-group
-measures map an infinite denominator to 0.0.
+Only NI10-NI20 surface :data:`~infoeval.infocore.SINGULAR`.  NI1-NI9,
+NI21-NI24 and the performance rates are never Singular, and a zero
+numerator gives them 0.0 whatever the denominator (:func:`_ratio`).
 
 Performance measures are the conventional correct/error/reject rates,
 accuracy among accepted samples, and (for two classes, with class 1 as
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_ZERO_TOL = 1e-12
 
 
 class InvariantViolation(RuntimeError):
@@ -207,15 +206,34 @@ class PerformanceSummary(namedtuple(
     __slots__ = ()
 
 
+def _ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator, or 0.0 when the numerator is zero.
+
+    This one rule, with no tolerance, covers every zero or infinite
+    denominator that a validated matrix gives; no matrix gives a zero
+    denominator under a nonzero numerator, so that is not guarded:
+
+    * H(Y) = 0 needs one predicted column.  Each p(t, y) then equals its
+      p(t) bit for bit and p(y) = n/n = 1.0, so I and I_M are exactly 0.0.
+    * A rate's numerator is at most its denominator (correct <= accepted,
+      c11 <= either binary total), and p + r = 0 forces 2pr = 0.
+    * Cross entropies: an infinite one gives 0.0 by division, and one
+      is 0 only when its entropy is 0.
+    * Every share is at least 2**-255, so sqrt(H(T) H(Y)) and
+      min(H(T), H(Y)) never underflow to 0; an entropy of -0.0 is falsy.
+    """
+    return numerator / denominator if numerator else 0.0
+
+
 def performance_summary(matrix: AugmentedConfusionMatrix) -> PerformanceSummary:
     """Correct/error/reject rates, accuracy, and binary P/R/F1.
 
     Errors are counted in integers, so an error-free matrix has an
     error rate of exactly 0.0.  Accuracy is the correct rate among
     accepted (non-rejected) samples, and 0.0 when every sample is
-    rejected (the 0/0 policy of the MI ratios).  For two classes,
-    class 1 is the reference class; rejected class-1 samples are
-    excluded from the recall denominator.
+    rejected; every rate divides through :func:`_ratio`.  For two
+    classes, class 1 is the reference class; rejected class-1 samples
+    are excluded from the recall denominator.
     """
     n = matrix.total
     m = matrix.n_classes
@@ -227,21 +245,13 @@ def performance_summary(matrix: AugmentedConfusionMatrix) -> PerformanceSummary:
         (c11, _, c13), (c21, _, _) = matrix.counts
         predicted_first = c11 + c21
         accepted_first = matrix.row_totals[0] - c13
-        precision = c11 / predicted_first if predicted_first else 0.0
-        recall = c11 / accepted_first if accepted_first else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0.0
-            else 0.0
-        )
+        precision = _ratio(c11, predicted_first)
+        recall = _ratio(c11, accepted_first)
+        f1 = _ratio(2.0 * precision * recall, precision + recall)
     return PerformanceSummary(
-        correct_rate=correct / n,
-        error_rate=(accepted - correct) / n,
-        reject_rate=rejected / n,
-        accuracy=correct / accepted if accepted else 0.0,
-        precision=precision,
-        recall=recall,
-        f1=f1,
+        correct_rate=_ratio(correct, n), error_rate=_ratio(accepted - correct, n),
+        reject_rate=_ratio(rejected, n), accuracy=_ratio(correct, accepted),
+        precision=precision, recall=recall, f1=f1,
     )
 
 
@@ -253,38 +263,10 @@ def _snap_unit(value: float, measure: MeasureId) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _ratio(numerator: float, denominator: float) -> ExtendedValue:
-    """num/den with the degenerate-denominator policy.
-
-    A zero denominator only occurs when H(Y) = 0 (all predictions in
-    one column); independence then forces the numerator I to 0 as
-    well, and the 0/0 resolves to 0.  A positive numerator over a zero
-    denominator cannot arise from a valid matrix and is surfaced as
-    SINGULAR rather than silently absorbed.
-    """
-    if denominator > 0.0:
-        return numerator / denominator
-    if abs(numerator) <= _ZERO_TOL:
-        return 0.0
-    return SINGULAR
-
-
-def _mean(a: float, b: ExtendedValue) -> ExtendedValue:
-    return SINGULAR if b is SINGULAR else 0.5 * (a + b)
-
-
 def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
     """exp(-D) of one divergence between p(t) and p(y), or SINGULAR."""
     d = divergence(r)
     return SINGULAR if d is SINGULAR else math.exp(-d)
-
-
-def _ce_ratio(h: float, ce: float) -> float:
-    """An entropy over a cross entropy; 0.0 when the latter is infinite
-    or the entropy is zero.  A cross entropy rounds to 0 only with a
-    zero entropy: H(Y) = 0 against p(t) = (1/n, 1 - 1/n) at n >= 2**53.
-    """
-    return 0.0 if h == 0.0 or math.isinf(ce) else h / ce
 
 
 class _Record(_Pair):
@@ -320,7 +302,7 @@ _FORMULAS: dict[MeasureId, Callable[[_Record], ExtendedValue | None]] = {
     MeasureId.NI1: lambda r: r.i / r.h_t,
     MeasureId.NI2: lambda r: r.i_m / r.h_t,
     MeasureId.NI3: lambda r: _ratio(r.i, r.h_y),
-    MeasureId.NI4: lambda r: _mean(r.i / r.h_t, _ratio(r.i, r.h_y)),
+    MeasureId.NI4: lambda r: 0.5 * (r.i / r.h_t + _ratio(r.i, r.h_y)),
     MeasureId.NI5: lambda r: 2.0 * r.i / (r.h_t + r.h_y),
     MeasureId.NI6: lambda r: _ratio(r.i, math.sqrt(r.h_t * r.h_y)),
     MeasureId.NI7: lambda r: r.i / r.h_joint,
@@ -331,14 +313,10 @@ _FORMULAS: dict[MeasureId, Callable[[_Record], ExtendedValue | None]] = {
         MeasureId(f"NI{kind.value}"): partial(_exp_neg, _DISPATCH[kind])
         for kind in DivergenceKind
     },
-    MeasureId.NI21: lambda r: _ce_ratio(r.h_t, r.ce[0]),
-    MeasureId.NI22: lambda r: _ce_ratio(r.h_y, r.ce[1]),
-    MeasureId.NI23: lambda r: (
-        0.5 * (_ce_ratio(r.h_t, r.ce[0]) + _ce_ratio(r.h_y, r.ce[1]))
-    ),
-    MeasureId.NI24: lambda r: (
-        0.0 if math.inf in r.ce else (r.h_t + r.h_y) / (r.ce[0] + r.ce[1])
-    ),
+    MeasureId.NI21: lambda r: _ratio(r.h_t, r.ce[0]),
+    MeasureId.NI22: lambda r: _ratio(r.h_y, r.ce[1]),
+    MeasureId.NI23: lambda r: 0.5 * (_ratio(r.h_t, r.ce[0]) + _ratio(r.h_y, r.ce[1])),
+    MeasureId.NI24: lambda r: _ratio(r.h_t + r.h_y, r.ce[0] + r.ce[1]),
     MeasureId.CORRECT_RATE: lambda r: r.perf.correct_rate,
     MeasureId.ERROR_RATE: lambda r: r.perf.error_rate,
     MeasureId.REJECT_RATE: lambda r: r.perf.reject_rate,

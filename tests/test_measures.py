@@ -129,6 +129,26 @@ class TestParseSelection:
             parse_selection(", ,")
 
 
+@st.composite
+def column_restricted_matrices(draw):
+    """Matrices whose samples all sit in a drawn set of columns: one
+    predicted column, only the reject column (every sample rejected),
+    no reject column, or any mix."""
+    m = draw(st.integers(2, 4))
+    columns = draw(st.sets(st.integers(0, m), min_size=1))
+    count = st.integers(0, 9) | st.integers(0, 10**6)
+    row = st.tuples(*(count if j in columns else st.just(0) for j in range(m + 1)))
+    return AugmentedConfusionMatrix(tuple(draw(row.filter(any)) for _ in range(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_restricted_matrices())
+def test_only_divergence_measures_are_singular(matrix):
+    for item in evaluate_all(matrix, CATALOG, strict=False):
+        if item.is_singular:
+            assert item.measure.group is MeasureGroup.DIVERGENCE, item
+
+
 class TestMiGroup:
     def test_frozen_ni2(self, reject_tradeoff_models):
         assert _value("NI2", reject_tradeoff_models["C_D"]) == pytest.approx(
@@ -178,9 +198,11 @@ class TestMiGroup:
             assert evaluate(measure, matrix).value == 0.0
 
     def test_zero_denominator_policy(self):
-        # 0/0 resolves to 0; a positive I over H(Y) = 0 cannot come from a matrix
-        assert _ratio(0.0, 0.0) == 0.0
-        assert _ratio(1.0, 0.0) is SINGULAR
+        # a zero numerator gives 0.0 whatever the denominator; no matrix
+        # puts a nonzero numerator over a zero denominator
+        for numerator, denominator in ((0.0, 0.0), (0, 0), (-0.0, 0.0), (1.0, math.inf)):
+            value = _ratio(numerator, denominator)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestDivergenceGroup:
