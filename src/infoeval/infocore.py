@@ -232,10 +232,11 @@ def _resistor_average(forward, backward) -> ExtendedValue:
     return forward * backward / denom
 
 
-def _jensen_shannon(p, q) -> ExtendedValue:
-    mid = tuple((a + b) / 2.0 for a, b in zip(p, q))
-    # never SINGULAR: mid = 0 needs a = b = 0
-    return _symmetric(_kl(p, mid), _kl(q, mid))
+def _jensen_shannon(p, q) -> float:
+    # never SINGULAR: mid = 0 needs a = b = 0; a positive a + b halves
+    # to 0 only at the smallest subnormal, which is kept as it is
+    mid = tuple((a + b) / 2.0 or a + b for a, b in zip(p, q))
+    return _kl(p, mid) + _kl(q, mid)
 
 
 class _Pair:

@@ -200,6 +200,12 @@ class TestDivergenceValues:
             expected, rel=1e-9
         )
 
+    def test_jensen_shannon_is_finite_at_the_smallest_subnormal(self):
+        # (a + b) / 2 rounds to 0 at a = 5e-324, b = 0; the midpoint
+        # keeps a there, so the divergence stays finite
+        value = divergence(DivergenceKind.JENSEN_SHANNON, (5e-324, 1.0), (0.0, 1.0))
+        assert value is not SINGULAR and value == pytest.approx(0.0, abs=1e-300)
+
     def test_hellinger_equals_twice_one_minus_overlap(self):
         p = (0.7, 0.2, 0.1)
         q = (0.4, 0.4, 0.2)
