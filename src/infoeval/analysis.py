@@ -379,13 +379,18 @@ def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoin
 
     Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  As in
     :func:`crossover_analysis`, n must exceed 2d > 0; grid points must
-    lie strictly inside (0.5, 1).
+    lie strictly inside (0.5, 1), and c2 must hold the d departing
+    samples, p1 <= 1 - d/n, with 1e-12 of slack for a rounded share.
     """
     _check_split(n, d)
     points = []
     for p1 in grid:
         if not 0.5 < p1 < 1.0:
             raise ValueError(f"grid point {p1} outside (0.5, 1)")
+        if p1 > 1.0 - d / n + 1e-12:
+            raise ValueError(
+                f"grid point {p1}: the small class (1 - p1) n holds fewer than d = {d} samples"
+            )
         totals = (p1 * n, (1.0 - p1) * n)
         points.append(
             SweepPoint(p1, *(_departure_cost(kind, totals, d, n) for kind in CanonicalKind))

@@ -576,6 +576,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="outside"):
             sweep_delta_curves(100, 1, [1.0])
 
+    def test_small_class_must_hold_d_samples(self):
+        # c2 = (1 - p1) n: 5 samples at p1 = 0.95 cannot give up d = 10
+        with pytest.raises(ValueError, match=r"grid point 0\.95: .* fewer than d = 10"):
+            sweep_delta_curves(100, 10, [0.9, 0.95])
+        # c2 = d is a model, also where 0.5 + 8 * 0.05 rounds above 0.9
+        for p1 in (0.9, 0.5 + 8 * 0.05):
+            (point,) = sweep_delta_curves(100, 10, [p1])
+            assert point.p1 == p1
+
 
 class TestKindsAsCells:
     def test_values_and_moved_cells(self):

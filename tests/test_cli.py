@@ -279,6 +279,24 @@ class TestOmegaAndSweep:
         assert code == 1
         assert "no grid points" in err
 
+    def test_sweep_stops_where_the_small_class_holds_d(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "100", "--d", "10", "--format", "json")
+        assert code == 0
+        shares = [point["p1"] for point in json.loads(out)["points"]]
+        assert shares == [round(0.5 + k * 0.05, 3) for k in range(1, 9)]  # up to 0.9, c2 = d
+        code, out, _ = run_cli(capsys, "sweep", "--n", "100", "--d", "1", "--step", "0.01",
+                               "--format", "json")
+        assert code == 0
+        shares = [point["p1"] for point in json.loads(out)["points"]]
+        assert len(shares) == 49 and shares[-1] == 0.99
+
+    def test_sweep_without_a_model_exits_1(self, capsys):
+        # c2 = 10 < d at p1 = 0.9, the only grid point
+        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--d", "40", "--step", "0.2")
+        assert (code, out) == (1, "")
+        assert err == ("error: step 0.2 leaves no grid points inside (0.5, 1) "
+                       "where the small class holds d = 40 samples\n")
+
     def test_omega_bad_domain(self, capsys):
         code, _, err = run_cli(capsys, "omega", "--n", "10", "--d", "5")
         assert code == 1
