@@ -374,20 +374,28 @@ SweepPoint = namedtuple(
 )
 
 
+def _largest_share(n: int, d: int) -> float:
+    """The largest p1 whose small class, (1 - p1) n, still holds d
+    samples, plus 1e-12 of slack for a share such as 0.5 + 8 * 0.05
+    that rounds above it."""
+    return 1.0 - d / n + 1e-12
+
+
 def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoint, ...]:
     """The four cost curves over a grid of large-class shares.
 
     Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  As in
     :func:`crossover_analysis`, n must exceed 2d > 0; grid points must
     lie strictly inside (0.5, 1), and c2 must hold the d departing
-    samples, p1 <= 1 - d/n, with 1e-12 of slack for a rounded share.
+    samples (:func:`_largest_share`).
     """
     _check_split(n, d)
+    top = _largest_share(n, d)
     points = []
     for p1 in grid:
         if not 0.5 < p1 < 1.0:
             raise ValueError(f"grid point {p1} outside (0.5, 1)")
-        if p1 > 1.0 - d / n + 1e-12:
+        if p1 > top:
             raise ValueError(
                 f"grid point {p1}: the small class (1 - p1) n holds fewer than d = {d} samples"
             )

@@ -372,7 +372,7 @@ def _cmd_sweep(args) -> str:
     # 0.5 + k * step grows with k, so these are all k with a point below 1;
     # a point stays while the small class (1 - p1) n holds d samples
     shares = (0.5 + k * args.step for k in range(1, int(0.5 / args.step) + 1))
-    top = 1.0 - args.d / args.n + 1e-12
+    top = analysis._largest_share(args.n, args.d)
     grid = [p1 for p1 in shares if p1 < 1.0 - 1e-12 and p1 <= top]
     points = analysis.sweep_delta_curves(args.n, args.d, grid)  # checks n > 2d
     if not points:
