@@ -15,15 +15,16 @@ it the order flips.  This module computes the costs, solves for the
 cross-over point, ranks the four models by NI2, differentiates the
 modified mutual information cell by cell, and detects the matrix
 patterns at which the information measures reach local extrema.
+Every bound on a split (n, d) and on a sweep step is checked here.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from enum import Enum
+from itertools import count, takewhile
 
-from .confusion import AugmentedConfusionMatrix, BinaryConfusion
+from .confusion import _MAX_TOTAL, AugmentedConfusionMatrix, BinaryConfusion
 from .measures import MeasureId, evaluate
 
 __all__ = [
@@ -211,9 +212,12 @@ class CrossoverResult(namedtuple("CrossoverResult", "n d omega brackets")):
 
 
 def _check_split(n: int, d: int) -> None:
-    # the small class holds fewer than n/2 samples and must give up d
+    # the small class holds fewer than n/2 samples and must give up d;
+    # n shares the matrix total's bound, so every cost stays in float range
     if not n > 2 * d > 0:
         raise ValueError(f"need n > 2d > 0, got n={n}, d={d}")
+    if n >= _MAX_TOTAL:
+        raise ValueError(f"need n below 2**255, got n={n}")
 
 
 def crossover_analysis(n: int, d: int) -> CrossoverResult:
@@ -226,7 +230,7 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     p1 = 1 where the whole scan is negative (n/d above about 3.679e11):
     the gap grows without bound as the small class empties.  The
     bracket is bisected until it is narrower than 1e-10, so p1 = 1
-    itself is never evaluated.
+    itself is never evaluated.  ValueError unless 2**255 > n > 2d > 0.
     """
     _check_split(n, d)
     eps = 1e-6
@@ -374,33 +378,30 @@ SweepPoint = namedtuple(
 )
 
 
-def _largest_share(n: int, d: int) -> float:
-    """The largest p1 whose small class, (1 - p1) n, still holds d
-    samples, plus 1e-12 of slack for a share such as 0.5 + 8 * 0.05
-    that rounds above it."""
-    return 1.0 - d / n + 1e-12
+def sweep_delta_curves(n: int, d: int, step: float) -> tuple[SweepPoint, ...]:
+    """The four cost curves over the large-class shares p1 = 0.5 + k step.
 
-
-def sweep_delta_curves(n: int, d: int, grid: Sequence[float]) -> tuple[SweepPoint, ...]:
-    """The four cost curves over a grid of large-class shares.
-
-    Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  As in
-    :func:`crossover_analysis`, n must exceed 2d > 0; grid points must
-    lie strictly inside (0.5, 1), and c2 must hold the d departing
-    samples (:func:`_largest_share`).
+    Class totals are continuous: c1 = p1 n, c2 = (1 - p1) n.  The grid
+    runs k = 1, 2, ... while p1 < 1 and c2 holds the d departing samples,
+    with 1e-12 of slack for a share such as 0.5 + 7 * 0.05 that rounds
+    above 1 - d/n.  ValueError unless 2**255 > n > 2d > 0 and step >=
+    5e-06 (at most 100000 points), or when no point is left.
     """
     _check_split(n, d)
-    top = _largest_share(n, d)
-    points = []
-    for p1 in grid:
-        if not 0.5 < p1 < 1.0:
-            raise ValueError(f"grid point {p1} outside (0.5, 1)")
-        if p1 > top:
-            raise ValueError(
-                f"grid point {p1}: the small class (1 - p1) n holds fewer than d = {d} samples"
-            )
-        totals = (p1 * n, (1.0 - p1) * n)
-        points.append(
-            SweepPoint(p1, *(_departure_cost(kind, totals, d, n) for kind in CanonicalKind))
+    if not step >= 5e-06:
+        raise ValueError(f"step must be at least 5e-06 (at most 100000 grid points), got {step}")
+    top = 1.0 - d / n + 1e-12
+    # 0.5 + k * step grows with k, so the grid ends at the first share past either bound
+    shares = takewhile(lambda p1: p1 < 1.0 - 1e-12 and p1 <= top,
+                       (0.5 + k * step for k in count(1)))
+    points = tuple(
+        SweepPoint(p1, *(_departure_cost(kind, (p1 * n, (1.0 - p1) * n), d, n)
+                         for kind in CanonicalKind))
+        for p1 in shares
+    )
+    if not points:
+        raise ValueError(
+            f"step {step} leaves no grid points inside (0.5, 1) "
+            f"where the small class holds d = {d} samples"
         )
-    return tuple(points)
+    return points

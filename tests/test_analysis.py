@@ -1,6 +1,7 @@
 """Departure costs, cross-over solving, sensitivities, and extremum
 detectors against frozen oracle values and finite differences."""
 import math
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -549,16 +550,17 @@ class TestDetectors:
 
 class TestSweep:
     def test_curve_values_and_ordering(self):
-        points = sweep_delta_curves(100, 1, [0.6, 0.75, 0.9])
-        assert [p.p1 for p in points] == [0.6, 0.75, 0.9]
+        points = sweep_delta_curves(100, 1, 0.05)
+        assert [p.p1 for p in points] == [0.5 + k * 0.05 for k in range(1, 10)]
         for p in points:
             assert p.small_class_error < p.large_class_error < 0.0
             assert p.small_class_reject < p.large_class_reject < 0.0
             assert p.small_class_error < p.small_class_reject
 
     def test_matches_frozen_costs_at_090(self):
-        (point,) = sweep_delta_curves(100, 1, [0.9])
+        (point,) = sweep_delta_curves(100, 1, 0.4)
         expected = FROZEN_COSTS[(90, 10, 1)]
+        assert point.p1 == 0.9
         assert (
             point.small_class_error, point.large_class_error,
             point.small_class_reject, point.large_class_reject,
@@ -566,24 +568,60 @@ class TestSweep:
 
     def test_middle_curves_cross_at_omega(self):
         omega = crossover_omega(100, 1)
-        below, above = sweep_delta_curves(100, 1, [omega - 0.02, omega + 0.02])
+        points = sweep_delta_curves(100, 1, 0.01)
+        below = max((p for p in points if p.p1 < omega), key=lambda p: p.p1)
+        above = min((p for p in points if p.p1 > omega), key=lambda p: p.p1)
+        assert above.p1 - below.p1 == pytest.approx(0.01)
         assert below.large_class_error < below.small_class_reject
         assert above.large_class_error > above.small_class_reject
 
-    def test_grid_bounds_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
-            sweep_delta_curves(100, 1, [0.5])
-        with pytest.raises(ValueError, match="outside"):
-            sweep_delta_curves(100, 1, [1.0])
+    @pytest.mark.parametrize("step", [0.05, 0.01, 0.125, 0.3, 1 / 3])
+    def test_grid_bounds_enforced(self, step):
+        points = sweep_delta_curves(100, 1, step)
+        assert all(0.5 < p.p1 < 1.0 for p in points)
+        # the grid ends at the last share below 1 - d/n = 0.99
+        assert points[-1].p1 <= 0.99 < 0.5 + (len(points) + 1) * step
+        with pytest.raises(ValueError, match="step 0.6 leaves no grid points"):
+            sweep_delta_curves(100, 1, 0.6)
 
     def test_small_class_must_hold_d_samples(self):
-        # c2 = (1 - p1) n: 5 samples at p1 = 0.95 cannot give up d = 10
-        with pytest.raises(ValueError, match=r"grid point 0\.95: .* fewer than d = 10"):
-            sweep_delta_curves(100, 10, [0.9, 0.95])
-        # c2 = d is a model, also where 0.5 + 8 * 0.05 rounds above 0.9
-        for p1 in (0.9, 0.5 + 8 * 0.05):
-            (point,) = sweep_delta_curves(100, 10, [p1])
-            assert point.p1 == p1
+        # c2 = (1 - p1) n: 5 samples at p1 = 0.95 cannot give up d = 10, and
+        # c2 = d is a model, also where 0.5 + 7 * 0.05 rounds above 1 - 15/100
+        points = sweep_delta_curves(100, 10, 0.05)
+        assert [p.p1 for p in points] == [0.5 + k * 0.05 for k in range(1, 9)]
+        assert 0.5 + 7 * 0.05 > 1 - 15 / 100
+        assert sweep_delta_curves(100, 15, 0.05)[-1].p1 == 0.5 + 7 * 0.05
+        # c2 = 10 < d at p1 = 0.9, the only share below 1
+        with pytest.raises(ValueError, match=r"^step 0\.2 leaves no grid points inside "
+                                             r"\(0\.5, 1\) where the small class holds "
+                                             r"d = 40 samples$"):
+            sweep_delta_curves(100, 40, 0.2)
+
+    def test_tiny_step_fails_at_once(self):
+        start = time.perf_counter()
+        for step in (1e-300, 4.99e-06, 0.0, -0.05, math.nan):
+            with pytest.raises(ValueError, match=r"^step must be at least 5e-06 "
+                                                 r"\(at most 100000 grid points\), got "):
+                sweep_delta_curves(100, 1, step)
+        assert time.perf_counter() - start < 2.0
+        # the split is checked first
+        with pytest.raises(ValueError, match="need n > 2d > 0"):
+            sweep_delta_curves(2, 1, 1e-300)
+
+    def test_smallest_step_is_accepted(self):
+        # 0.5 + k * 5e-06 <= 0.99 for k up to 98000
+        points = sweep_delta_curves(100, 1, 5e-06)
+        assert (len(points), points[0].p1) == (98000, 0.5 + 5e-06)
+
+
+class TestSplitBound:
+    """n shares the matrix total's bound, so every cost stays in float range."""
+
+    def test_n_must_be_below_2_to_the_255(self):
+        with pytest.raises(ValueError, match=rf"^need n below 2\*\*255, got n={2**1100}$"):
+            crossover_analysis(2**1100, 1)
+        with pytest.raises(ValueError, match=rf"^need n below 2\*\*255, got n={2**255}$"):
+            sweep_delta_curves(2**255, 1, 0.05)
 
 
 class TestKindsAsCells:
