@@ -3,7 +3,8 @@
 Models are ranked per measure by rounding the values to a fixed number
 of decimals (3 by default, matching how the reference tables are
 printed) and assigning letters A, B, C, ... to the distinct rounded
-values in descending order.  Ties share a letter and the awarded
+values, best first: in descending order, except for the error rate E
+and the reject rate Rej, which rank lowest first.  Ties share a letter and the awarded
 letters never skip one, so the letter multiset is readable as a dense
 ranking.  Singular values receive no letter and do not disturb the
 letters of the finite values.
@@ -29,6 +30,9 @@ __all__ = [
     "rank",
     "three_class_expected_order",
 ]
+
+# the measures on which a lower value is better; all others rank highest first
+_LOWEST_FIRST = frozenset({MeasureId.ERROR_RATE, MeasureId.REJECT_RATE})
 
 
 def _letter(position: int) -> str:
@@ -87,9 +91,11 @@ def rank(
             raise ValueError(
                 f"{len(model_names)} names for {len(values)} values"
             )
+    measure = next(iter(measures))
     raw = tuple(v.value for v in values)
     finite_rounded = sorted(
-        {round(v, rounding) for v in raw if v is not SINGULAR}, reverse=True
+        {round(v, rounding) for v in raw if v is not SINGULAR},
+        reverse=measure not in _LOWEST_FIRST,
     )
     letter_for = {value: _letter(k) for k, value in enumerate(finite_rounded)}
     letters = tuple(
@@ -97,7 +103,7 @@ def rank(
     )
     return RankReport(
         model_names=model_names,
-        measure=next(iter(measures)),
+        measure=measure,
         values=raw,
         letters=letters,
         rounding=rounding,
@@ -131,14 +137,15 @@ def check_meta_order(report: RankReport, order: MetaOrder) -> list[tuple[str, st
     """Constraints the report violates, in constraint order.
 
     A (better, worse) pair holds only when `better` has a strictly
-    higher rounded value; ties, reversals, and Singular values on
-    either side all count as violations.
+    earlier letter, so the same order as :func:`rank`; ties, reversals,
+    and Singular values (no letter) on either side all count as
+    violations.
     """
     violated = []
     for better, worse in order.constraints:
-        left = report.rounded_value(better)
-        right = report.rounded_value(worse)
-        if left is SINGULAR or right is SINGULAR or not left > right:
+        left, right = report.letter_of(better), report.letter_of(worse)
+        # letters run A..Z, AA..AZ, ...: a shorter one comes first
+        if left is None or right is None or not (len(left), left) < (len(right), right):
             violated.append((better, worse))
     return violated
 

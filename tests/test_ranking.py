@@ -37,6 +37,17 @@ class TestLetters:
         report = rank(_vals([0.2, 0.9, 0.5]))
         assert report.letters == ("C", "A", "B")
 
+    @pytest.mark.parametrize("measure", [MeasureId.ERROR_RATE, MeasureId.REJECT_RATE])
+    def test_error_and_reject_rates_rank_lowest_first(self, measure):
+        report = rank(_vals([0.2, 0.0, 0.41, 0.0], measure))
+        assert report.letters == ("B", "A", "C", "A")
+
+    def test_binary_models_error_and_reject_letters(self, binary_models):
+        names = ("M1", "M2", "M3", "M4", "M5", "M6")
+        # M5 misclassifies 41 %, and only M3 and M4 reject
+        assert _report(binary_models, names, "E").letters == ("B", "B", "A", "A", "D", "C")
+        assert _report(binary_models, names, "Rej").letters == ("A", "A", "B", "B", "A", "A")
+
     def test_ties_share_and_no_letter_is_skipped(self):
         report = rank(_vals([0.7, 0.9, 0.7, 0.3]))
         assert report.letters == ("B", "A", "B", "C")
@@ -178,6 +189,19 @@ class TestCheckMetaOrder:
         assert check_meta_order(report, binary_expected_order()) == [
             ("M2", "M1"), ("M4", "M3"), ("M4", "M1"),
         ]
+
+    def test_lower_error_rate_is_better(self):
+        report = rank(_vals([0.1, 0.3], MeasureId.ERROR_RATE), model_names=("a", "b"))
+        assert check_meta_order(report, MetaOrder((("a", "b"),))) == []
+        assert check_meta_order(report, MetaOrder((("b", "a"),))) == [("b", "a")]
+
+    def test_letters_past_z_keep_their_order(self):
+        # 28 distinct values: the 26th best gets Z, the 27th AA
+        names = tuple(f"m{k}" for k in range(28))
+        report = rank(_vals([1.0 - k / 100 for k in range(28)]), model_names=names)
+        assert report.letters[25:] == ("Z", "AA", "AB")
+        assert check_meta_order(report, MetaOrder((("m25", "m26"),))) == []
+        assert check_meta_order(report, MetaOrder((("m26", "m25"),))) == [("m26", "m25")]
 
     def test_ties_count_as_violations(self):
         report = rank(_vals([0.5, 0.5]), model_names=("a", "b"))
