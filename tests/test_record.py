@@ -1,8 +1,13 @@
 """The per-matrix evaluation record computes each shared quantity once,
-and only when a selected measure reads it."""
+and only when a selected measure reads it, and its distributions need
+no simplex check."""
 import collections
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoeval import CATALOG, AugmentedConfusionMatrix, MeasureId, evaluate, evaluate_all
 from infoeval import measures
@@ -64,3 +69,25 @@ def test_single_ni2_reads_only_what_it_needs(calls, rows):
     assert calls["cross_entropy"] == 0
     assert calls["modified_mutual_information"] == 1
     assert calls["distributions"] == 1
+
+
+@st.composite
+def valid_matrices(draw):
+    """Up to 50 classes, counts of up to 238 bits, so totals below 2**250."""
+    m = draw(st.integers(2, 50))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # fast draws of 2550 counts
+    bits = draw(st.integers(1, 238))
+    rows = [[rnd.getrandbits(rnd.randint(0, bits)) for _ in range(m + 1)] for _ in range(m)]
+    for row in rows:
+        row[rnd.randrange(m + 1)] += 1  # no empty class
+    return AugmentedConfusionMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_matrices())
+def test_marginals_are_simplices_without_a_check(matrix):
+    # the bound _Record's docstring proves: one rounding per share
+    d = matrix.distributions()
+    for marginal in (d.row_marginal, d.col_marginal):
+        assert min(marginal) >= 0.0
+        assert abs(math.fsum(marginal) - 1.0) <= 2**-53
