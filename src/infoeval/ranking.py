@@ -4,10 +4,10 @@ Models are ranked per measure by rounding the values to a fixed number
 of decimals (3 by default, matching how the reference tables are
 printed) and assigning letters A, B, C, ... to the distinct rounded
 values, best first: in descending order, except for the error rate E
-and the reject rate Rej, which rank lowest first.  Ties share a letter and the awarded
-letters never skip one, so the letter multiset is readable as a dense
-ranking.  Singular values receive no letter and do not disturb the
-letters of the finite values.
+and the reject rate Rej, which rank lowest first.  Ties share a letter
+and the awarded letters never skip one, so the letter multiset is
+readable as a dense ranking.  Singular values receive no letter and
+do not disturb the letters of the finite values.
 
 A :class:`MetaOrder` captures prior knowledge of which model should
 beat which ("an error in a small class costs more than a rejection of

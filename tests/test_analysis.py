@@ -569,18 +569,18 @@ class TestSweep:
     def test_middle_curves_cross_at_omega(self):
         omega = crossover_omega(100, 1)
         points = sweep_delta_curves(100, 1, 0.01)
-        below = max((p for p in points if p.p1 < omega), key=lambda p: p.p1)
-        above = min((p for p in points if p.p1 > omega), key=lambda p: p.p1)
+        below = [p for p in points if p.p1 < omega][-1]
+        above = next(p for p in points if p.p1 > omega)
         assert above.p1 - below.p1 == pytest.approx(0.01)
         assert below.large_class_error < below.small_class_reject
         assert above.large_class_error > above.small_class_reject
 
-    @pytest.mark.parametrize("step", [0.05, 0.01, 0.125, 0.3, 1 / 3])
-    def test_grid_bounds_enforced(self, step):
-        points = sweep_delta_curves(100, 1, step)
-        assert all(0.5 < p.p1 < 1.0 for p in points)
-        # the grid ends at the last share below 1 - d/n = 0.99
-        assert points[-1].p1 <= 0.99 < 0.5 + (len(points) + 1) * step
+    def test_grid_bounds_enforced(self):
+        for step in (0.05, 0.01, 0.125, 0.3, 1 / 3):
+            points = sweep_delta_curves(100, 1, step)
+            assert all(0.5 < p.p1 < 1.0 for p in points)
+            # the grid ends at the last share below 1 - d/n = 0.99
+            assert points[-1].p1 <= 0.99 < 0.5 + (len(points) + 1) * step
         with pytest.raises(ValueError, match="step 0.6 leaves no grid points"):
             sweep_delta_curves(100, 1, 0.6)
 
