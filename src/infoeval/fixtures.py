@@ -46,10 +46,10 @@ def available() -> tuple[str, ...]:
 
 
 def resolve(name: str) -> Path:
-    """The file a name refers to: a path, a fixture file name, or a stem
-    (``name.json`` first, then ``name.csv``)."""
+    """The file a name refers to: a file or a pipe (not an endless device), a
+    fixture file name, or a stem (``name.json`` first, then ``name.csv``)."""
     path = Path(name)
-    if path.is_file():
+    if path.is_file() or path.is_fifo():
         return path
     for candidate in (fixtures_dir() / f"{name}{suffix}" for suffix in ("", *_SUFFIXES)):
         if candidate.is_file():

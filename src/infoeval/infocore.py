@@ -16,9 +16,10 @@ take one of three shapes:
 The conventions 0*log2(0) = 0, 0*log2(0/0) = 0 and 0^2/0 = 0 are
 applied wherever a zero coefficient makes the offending term vanish.
 
-Every sum adds its terms left to right in a plain loop.  The built-in
-``sum`` compensates float rounding from Python 3.12 on, which would
-make the last digits of a result depend on the interpreter version.
+H(T,Y), I and I_M share one pass over the joint table.  Every sum adds
+its terms left to right in a plain loop.  The built-in ``sum``
+compensates float rounding from Python 3.12 on, which would make the
+last digits of a result depend on the interpreter version.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import math
 from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 
 from .confusion import EmpiricalDistribution
 
@@ -118,19 +118,28 @@ def _sum(terms) -> float:
     return total
 
 
-def _mi_sum(d: EmpiricalDistribution, columns: slice) -> float:
-    total = 0.0
-    for i, row in enumerate(d.joint):
-        pt = d.row_marginal[i]
-        for j, pij in enumerate(row[columns]):
-            if pij > 0.0:
-                total += pij * math.log2(pij / (pt * d.col_marginal[j]))
-    return total
+def _information_terms(rows, p_t, p_y) -> tuple[float, float, float]:
+    """(H(T,Y), I(T,Y), I_M(T,Y)) in one row-major pass over a joint table.
+
+    ``rows`` are the shares p(t, y); zeros add nothing.  A row's last
+    cell, its reject cell, adds to H(T,Y) and I but not to I_M.
+    """
+    h = i = i_m = 0.0
+    reject = len(p_y) - 1
+    for row, pt in zip(rows, p_t):
+        for j, p in enumerate(row):
+            if p > 0.0:
+                h += p * math.log2(p)
+                term = p * math.log2(p / (pt * p_y[j]))
+                i += term
+                if j != reject:
+                    i_m += term
+    return -h, i, i_m
 
 
 def mutual_information(d: EmpiricalDistribution) -> float:
     """Empirical I(T,Y) over all m+1 output columns, reject included."""
-    return _mi_sum(d, slice(None))
+    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[1]
 
 
 def modified_mutual_information(d: EmpiricalDistribution) -> float:
@@ -141,12 +150,12 @@ def modified_mutual_information(d: EmpiricalDistribution) -> float:
     carry different costs.  Equals mutual_information exactly when the
     reject column is empty.
     """
-    return _mi_sum(d, slice(-1))
+    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[2]
 
 
 def joint_entropy(d: EmpiricalDistribution) -> float:
     """H(T,Y) of the joint table."""
-    return _entropy(chain.from_iterable(d.joint))
+    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[0]
 
 
 def cross_entropy(p: Sequence[float], q: Sequence[float]) -> float:

@@ -35,11 +35,9 @@ from .infocore import (
     DivergenceKind,
     ExtendedValue,
     _entropy,
+    _information_terms,
     _Pair,
     cross_entropy,
-    joint_entropy,
-    modified_mutual_information,
-    mutual_information,
 )
 
 __all__ = [
@@ -271,28 +269,34 @@ def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
 class _Record(_Pair):
     """One matrix's shared quantities, each computed on first read and kept.
 
-    The distributions are built once and need no simplex check: each
-    share c/n of a validated matrix is one correctly rounded quotient of
-    non-negative integers, a normal float within a relative 2**-53 of
-    c/n.  So no share is negative, and the exact sum of either marginal
-    lies within 2**-53 (about 1.1e-16) of 1, as does its math.fsum, far
-    inside the kernels' simplex tolerance of 1e-12.  As a _Pair, p is
-    p(t) padded with a zero at the reject position, so it shares the
-    support of q = p(y), and the directed KL and chi-squared values are
-    kept alongside the entropies.  An evaluation pays only for the
-    quantities its formulas read and computes none of them twice.
+    The marginals need no simplex check: each share c/n of a validated
+    matrix is one correctly rounded quotient of non-negative integers, a
+    normal float within a relative 2**-53 of c/n.  So no share is
+    negative, and the exact sum of either marginal lies within 2**-53
+    (about 1.1e-16) of 1, as does its math.fsum, far inside the kernels'
+    simplex tolerance of 1e-12.  As a _Pair, p is p(t) padded with a
+    zero at the reject position, so it shares the support of q = p(y),
+    and the directed KL and chi-squared values are kept alongside the
+    entropies.  An evaluation pays only for the quantities its formulas
+    read and computes none of them twice.
     """
 
     def __init__(self, matrix: AugmentedConfusionMatrix):
         self.matrix = matrix
-        self.d = d = matrix.distributions()
-        _Pair.__init__(self, d.row_marginal_padded, d.col_marginal)
+        n = matrix.total
+        _Pair.__init__(self, (*(t / n for t in matrix.row_totals), 0.0),
+                       tuple(t / n for t in matrix.column_totals))
 
-    h_t = cached_property(lambda r: _entropy(r.d.row_marginal))
+    @cached_property
+    def _terms(self) -> tuple[float, float, float]:
+        n = self.matrix.total
+        return _information_terms([[c / n for c in row] for row in self.matrix.counts], self.p, self.q)
+
+    h_t = cached_property(lambda r: _entropy(r.p))
     h_y = cached_property(lambda r: _entropy(r.q))
-    h_joint = cached_property(lambda r: joint_entropy(r.d))
-    i = cached_property(lambda r: mutual_information(r.d))
-    i_m = cached_property(lambda r: modified_mutual_information(r.d))
+    h_joint = cached_property(lambda r: r._terms[0])
+    i = cached_property(lambda r: r._terms[1])
+    i_m = cached_property(lambda r: r._terms[2])
     # (H(T;Y), H(Y;T))
     ce = cached_property(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
     perf = cached_property(lambda r: performance_summary(r.matrix))

@@ -6,16 +6,21 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import infoeval.cli as cli
 import infoeval.measures as measures
 from infoeval import (
-    SINGULAR, CanonicalKind, CanonicalModel, InvariantViolation, MeasureId, evaluate,
+    SINGULAR, CanonicalKind, CanonicalModel, InvariantViolation, MeasureId, evaluate, fixtures,
 )
 from infoeval.cli import main
+
+RAW_ALL = ("--measures", "all", "--format", "json", "--precision", "raw")
+GOLDEN_BINARY = Path(__file__).parent / "golden" / "eval_binary_models.json"
 
 
 def run_cli(capsys, *argv):
@@ -395,12 +400,13 @@ class TestErrorsAndExitCodes:
         # the second model gets I = 5 bits over H(T) = 1 bit, so NI1 = 5
         calls = []
 
-        def second_breaks(d):
-            calls.append(d)
-            return 5.0 if len(calls) == 2 else real(d)
+        def second_breaks(rows, p_t, p_y):
+            calls.append(rows)
+            h_joint, i, i_m = real(rows, p_t, p_y)
+            return (h_joint, 5.0, i_m) if len(calls) == 2 else (h_joint, i, i_m)
 
-        real = measures.mutual_information
-        monkeypatch.setattr(measures, "mutual_information", second_breaks)
+        real = measures._information_terms
+        monkeypatch.setattr(measures, "_information_terms", second_breaks)
         batch = tmp_path / "batch.json"
         batch.write_text('[{"name": "first", "matrix": [[9, 1], [2, 8]]},'
                          ' {"name": "second", "matrix": [[7, 3, 1], [0, 9, 2]]}]')
@@ -423,9 +429,19 @@ class TestErrorsAndExitCodes:
         assert (code, out) == (1, "")
         assert err.endswith(f"error: argument {message}\n")
 
+    @pytest.mark.parametrize("digits, cell", [
+        ("0", "| M1 | 1 |"), ("12", "| M1 | 0.830648012540 |"),
+    ], ids=["0", "12"])
+    def test_round_accepts_0_to_12(self, capsys, digits, cell):
+        code, out, err = run_cli(capsys, "eval", "binary_models", "--measures", "NI2",
+                                 "--round", digits)
+        assert (code, err) == (0, "")
+        assert cell in out.splitlines()
+
     def test_usage_errors_exit_1(self, capsys):
         for argv in ([], ["eval"], ["eval", "x", "--format", "yaml"],
-                     ["eval", "x", "--round", "13"], ["omega", "--n", "100"]):
+                     ["eval", "x", "--round", "13"], ["eval", "x", "--round", "-1"],
+                     ["omega", "--n", "100"]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 1
@@ -573,6 +589,39 @@ class TestFixtureResolution:
         code, out, _ = run_cli(capsys, "eval", "mine", "--measures", "NI1")
         assert code == 0
         assert "| Q |" in out
+
+    def test_stdin_pipe(self):
+        text = fixtures.resolve("binary_models").read_text()
+        result = subprocess.run(
+            [sys.executable, "-m", "infoeval.cli", "eval", "/dev/stdin", *RAW_ALL],
+            input=text, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == GOLDEN_BINARY.read_text()
+
+    def test_named_pipe(self, capsys, tmp_path):
+        fifo = tmp_path / "models"
+        os.mkfifo(fifo)
+        text = fixtures.resolve("binary_models").read_text()
+
+        def feed():
+            with open(fifo, "w") as pipe:
+                pipe.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        code, out, err = run_cli(capsys, "eval", str(fifo), *RAW_ALL)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_BINARY.read_text()
+
+    def test_directory_and_device_are_not_inputs(self, capsys, tmp_path):
+        # a device is not read: /dev/zero or /dev/urandom would never end
+        for name in (str(tmp_path), os.devnull):
+            code, out, err = run_cli(capsys, "eval", name)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {name}: no such file or bundled fixture; available: ")
 
 
 class TestCrossoverAtFourD:

@@ -1,7 +1,9 @@
 """Entropy/MI/divergence kernels against frozen high-precision values
 and independent scipy implementations."""
 import math
+import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from infoeval import (
     mutual_information,
     shannon_entropy,
 )
+from infoeval.measures import _Record
 
 # Frozen by a 50-digit-precision oracle; quoted to 17 significant digits.
 H_90_10 = 0.46899559358928122
@@ -135,6 +138,58 @@ class TestMutualInformation:
         assert mutual_information(d) == pytest.approx(
             h_t + h_y - joint_entropy(d), rel=1e-12
         )
+
+
+# Reference sums for H(T,Y), I and I_M, one walk each: the one pass must
+# match them bit for bit, so they pin its order of summation.
+def _reference_mi_sum(d, columns):
+    total = 0.0
+    for i, row in enumerate(d.joint):
+        pt = d.row_marginal[i]
+        for j, pij in enumerate(row[columns]):
+            if pij > 0.0:
+                total += pij * math.log2(pij / (pt * d.col_marginal[j]))
+    return total
+
+
+def _reference_entropy(p):
+    total = 0.0
+    for x in p:
+        if x > 0.0:
+            total += x * math.log2(x)
+    return -total
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 50 classes, totals below 2**250, and any share of zero cells."""
+    m = draw(st.integers(2, 50))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # fast draws of 2550 counts
+    bits = draw(st.integers(1, 238))
+    zeros = draw(st.sampled_from((0.0, 0.5, 0.77, 0.95, 1.0)))
+    rows = [[0 if rnd.random() < zeros else rnd.getrandbits(rnd.randint(0, bits))
+             for _ in range(m + 1)] for _ in range(m)]
+    for row in rows:
+        row[rnd.randrange(m + 1)] += 1  # no empty class
+    return AugmentedConfusionMatrix(rows)
+
+
+class TestOnePass:
+    """H(T,Y), I and I_M from one pass, bit for bit the separate walks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_bit_identical_to_the_separate_walks(self, matrix):
+        d = matrix.distributions()
+        expected = tuple(float.hex(v) for v in (
+            _reference_entropy(chain.from_iterable(d.joint)),
+            _reference_mi_sum(d, slice(None)),
+            _reference_mi_sum(d, slice(-1)),
+        ))
+        kernels = (joint_entropy(d), mutual_information(d), modified_mutual_information(d))
+        record = _Record(matrix)
+        assert tuple(map(float.hex, kernels)) == expected
+        assert tuple(map(float.hex, (record.h_joint, record.i, record.i_m))) == expected
 
 
 class TestCrossEntropy:
