@@ -93,6 +93,12 @@ class CanonicalModel(namedtuple("CanonicalModel", "kind c1 c2 d")):
         return AugmentedConfusionMatrix(rows, model_name=self.kind.value)
 
 
+def _out_of_range(function, args: tuple, exc: Exception) -> ValueError:
+    # a huge int met a float, or a share underflowed to 0: caught where the
+    # formula fails, so the solver's thousand calls per solve check no bound
+    return ValueError(f"{function.__name__}{args!r} is outside the float range ({exc})")
+
+
 def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     """Modified-MI change when d samples wrongly join a pure column.
 
@@ -102,7 +108,10 @@ def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     if not (receiving_total > 0 and d > 0 and n > 0):
         raise ValueError("misclassification_cost needs positive arguments")
     x = receiving_total
-    return (x * math.log2(x / (x + d)) + d * math.log2(d / (x + d))) / n
+    try:
+        return (x * math.log2(x / (x + d)) + d * math.log2(d / (x + d))) / n
+    except (OverflowError, ValueError) as exc:
+        raise _out_of_range(misclassification_cost, (receiving_total, d, n), exc) from None
 
 
 def rejection_cost(class_total: float, d: float, n: float) -> float:
@@ -112,7 +121,10 @@ def rejection_cost(class_total: float, d: float, n: float) -> float:
     """
     if not (class_total > 0 and d > 0 and n > 0):
         raise ValueError("rejection_cost needs positive arguments")
-    return d / n * math.log2(class_total / n)
+    try:
+        return d / n * math.log2(class_total / n)
+    except (OverflowError, ValueError) as exc:
+        raise _out_of_range(rejection_cost, (class_total, d, n), exc) from None
 
 
 def _departure_cost(kind: CanonicalKind, totals, d, n) -> float:
@@ -195,7 +207,10 @@ def crossover_gap(p1: float, n: float, d: float) -> float:
     """
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must be in (0, 1), got {p1}")
-    c2 = (1.0 - p1) * n
+    try:
+        c2 = (1.0 - p1) * n
+    except OverflowError as exc:
+        raise _out_of_range(crossover_gap, (p1, n, d), exc) from None
     return misclassification_cost(c2, d, n) - rejection_cost(c2, d, n)
 
 
@@ -364,11 +379,7 @@ def detect_divergence_maximum(matrix: AugmentedConfusionMatrix) -> bool:
     and makes the two marginals identical, which is precisely where
     all eleven divergences vanish and their normalized measures peak.
     """
-    row_totals = matrix.row_totals
-    column_totals = matrix.column_totals
-    return all(
-        column_totals[j] == row_totals[j] for j in range(matrix.n_classes)
-    )
+    return matrix.column_totals[:-1] == matrix.row_totals
 
 
 # floats: p1, then one cost per CanonicalKind in enum order

@@ -118,17 +118,21 @@ def _sum(terms) -> float:
     return total
 
 
-def _information_terms(rows, p_t, p_y) -> tuple[float, float, float]:
+def _information_terms(rows, n, p_t, p_y) -> tuple[float, float, float]:
     """(H(T,Y), I(T,Y), I_M(T,Y)) in one row-major pass over a joint table.
 
-    ``rows`` are the shares p(t, y); zeros add nothing.  A row's last
-    cell, its reject cell, adds to H(T,Y) and I but not to I_M.
+    ``rows`` are the cells of the table as counts out of ``n``: the
+    integer counts of a matrix and its total, or shares and n = 1, where
+    x / 1 is exact.  Each nonzero cell becomes its share p(t, y) once,
+    as the pass reaches it; zeros add nothing.  A row's last cell, its
+    reject cell, adds to H(T,Y) and I but not to I_M.
     """
     h = i = i_m = 0.0
     reject = len(p_y) - 1
     for row, pt in zip(rows, p_t):
-        for j, p in enumerate(row):
-            if p > 0.0:
+        for j, c in enumerate(row):
+            if c > 0:
+                p = c / n
                 h += p * math.log2(p)
                 term = p * math.log2(p / (pt * p_y[j]))
                 i += term
@@ -139,7 +143,7 @@ def _information_terms(rows, p_t, p_y) -> tuple[float, float, float]:
 
 def mutual_information(d: EmpiricalDistribution) -> float:
     """Empirical I(T,Y) over all m+1 output columns, reject included."""
-    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[1]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[1]
 
 
 def modified_mutual_information(d: EmpiricalDistribution) -> float:
@@ -150,12 +154,12 @@ def modified_mutual_information(d: EmpiricalDistribution) -> float:
     carry different costs.  Equals mutual_information exactly when the
     reject column is empty.
     """
-    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[2]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[2]
 
 
 def joint_entropy(d: EmpiricalDistribution) -> float:
     """H(T,Y) of the joint table."""
-    return _information_terms(d.joint, d.row_marginal, d.col_marginal)[0]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[0]
 
 
 def cross_entropy(p: Sequence[float], q: Sequence[float]) -> float:

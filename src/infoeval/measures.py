@@ -7,6 +7,9 @@ Normalized information (NI) measures come in three groups:
   true-class and predicted marginals,
 * NI21-NI24: entropy / cross-entropy ratios.
 
+Each formula lives on its :class:`MeasureId` member, next to its token,
+and reads the quantities it needs from one per-matrix record.
+
 Every finite NI value lies in [0, 1].  Values are snapped to the unit
 interval only within a 1e-9 float-noise band; anything further out is
 a bug in the formulas and raises :class:`InvariantViolation` instead
@@ -26,7 +29,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
@@ -68,66 +71,83 @@ class MeasureGroup(Enum):
     PERFORMANCE = "performance"
 
 
+def _exp_neg(kind: DivergenceKind) -> Callable[["_Record"], ExtendedValue]:
+    """The formula exp(-D) of one divergence between p(t) and p(y)."""
+    divergence = _DISPATCH[kind]
+
+    def formula(r: "_Record") -> ExtendedValue:
+        d = divergence(r)
+        return SINGULAR if d is SINGULAR else math.exp(-d)
+
+    return formula
+
+
 class MeasureId(Enum):
     """Catalog identifiers; enum order is the catalog order.
 
-    ``ni_index`` is 1..24 for information measures, None for performance ones.
+    Each member is declared as its token and its formula, a function
+    of the per-matrix record; the 2-class-only rates are None for a
+    larger matrix.  ``ni_index`` is 1..24 for information measures,
+    None for performance ones.
     """
 
-    NI1 = "NI1"
-    NI2 = "NI2"
-    NI3 = "NI3"
-    NI4 = "NI4"
-    NI5 = "NI5"
-    NI6 = "NI6"
-    NI7 = "NI7"
-    NI8 = "NI8"
-    NI9 = "NI9"
-    NI10 = "NI10"
-    NI11 = "NI11"
-    NI12 = "NI12"
-    NI13 = "NI13"
-    NI14 = "NI14"
-    NI15 = "NI15"
-    NI16 = "NI16"
-    NI17 = "NI17"
-    NI18 = "NI18"
-    NI19 = "NI19"
-    NI20 = "NI20"
-    NI21 = "NI21"
-    NI22 = "NI22"
-    NI23 = "NI23"
-    NI24 = "NI24"
-    CORRECT_RATE = "CR"
-    ERROR_RATE = "E"
-    REJECT_RATE = "Rej"
-    ACCURACY = "A"
-    PRECISION = "Precision"
-    RECALL = "Recall"
-    F1 = "F1"
+    NI1 = "NI1", lambda r: r.i / r.h_t
+    NI2 = "NI2", lambda r: r.i_m / r.h_t
+    NI3 = "NI3", lambda r: _ratio(r.i, r.h_y)
+    NI4 = "NI4", lambda r: 0.5 * (r.i / r.h_t + _ratio(r.i, r.h_y))
+    NI5 = "NI5", lambda r: 2.0 * r.i / (r.h_t + r.h_y)
+    NI6 = "NI6", lambda r: _ratio(r.i, math.sqrt(r.h_t * r.h_y))
+    NI7 = "NI7", lambda r: r.i / r.h_joint
+    NI8 = "NI8", lambda r: r.i / max(r.h_t, r.h_y)
+    NI9 = "NI9", lambda r: _ratio(r.i, min(r.h_t, r.h_y))
+    NI10 = "NI10", _exp_neg(DivergenceKind.SQUARED_EUCLIDEAN)
+    NI11 = "NI11", _exp_neg(DivergenceKind.CAUCHY_SCHWARZ)
+    NI12 = "NI12", _exp_neg(DivergenceKind.KULLBACK_LEIBLER)
+    NI13 = "NI13", _exp_neg(DivergenceKind.BHATTACHARYYA)
+    NI14 = "NI14", _exp_neg(DivergenceKind.PEARSON_CHI_SQUARED)
+    NI15 = "NI15", _exp_neg(DivergenceKind.HELLINGER)
+    NI16 = "NI16", _exp_neg(DivergenceKind.VARIATION)
+    NI17 = "NI17", _exp_neg(DivergenceKind.SYMMETRIC_KL)
+    NI18 = "NI18", _exp_neg(DivergenceKind.JENSEN_SHANNON)
+    NI19 = "NI19", _exp_neg(DivergenceKind.SYMMETRIC_CHI_SQUARED)
+    NI20 = "NI20", _exp_neg(DivergenceKind.RESISTOR_AVERAGE_KL)
+    NI21 = "NI21", lambda r: _ratio(r.h_t, r.ce[0])
+    NI22 = "NI22", lambda r: _ratio(r.h_y, r.ce[1])
+    NI23 = "NI23", lambda r: 0.5 * (_ratio(r.h_t, r.ce[0]) + _ratio(r.h_y, r.ce[1]))
+    NI24 = "NI24", lambda r: _ratio(r.h_t + r.h_y, r.ce[0] + r.ce[1])
+    CORRECT_RATE = "CR", lambda r: r.perf.correct_rate
+    ERROR_RATE = "E", lambda r: r.perf.error_rate
+    REJECT_RATE = "Rej", lambda r: r.perf.reject_rate
+    ACCURACY = "A", lambda r: r.perf.accuracy
+    PRECISION = "Precision", lambda r: r.perf.precision
+    RECALL = "Recall", lambda r: r.perf.recall
+    F1 = "F1", lambda r: r.perf.f1
 
     # members are singletons that compare by identity; the C identity
     # hash skips Enum's Python-level hash of the member name
     __hash__ = object.__hash__
 
-    def __init__(self, token: str):
-        self.ni_index = k = int(token[2:]) if token.startswith("NI") else None
+    def __new__(cls, token: str, formula: Callable[["_Record"], ExtendedValue | None]):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.formula = formula
+        member.ni_index = k = int(token[2:]) if token.startswith("NI") else None
         if k is None:
-            self.group = MeasureGroup.PERFORMANCE
+            member.group = MeasureGroup.PERFORMANCE
         elif k <= 9:
-            self.group = MeasureGroup.MUTUAL_INFORMATION
+            member.group = MeasureGroup.MUTUAL_INFORMATION
         elif k <= 20:
-            self.group = MeasureGroup.DIVERGENCE
+            member.group = MeasureGroup.DIVERGENCE
         else:
-            self.group = MeasureGroup.CROSS_ENTROPY
+            member.group = MeasureGroup.CROSS_ENTROPY
+        return member
 
     @classmethod
     def from_token(cls, token: str) -> "MeasureId":
-        key = token.strip().lower()
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ValueError(f"unknown measure {token!r}")
+        member = _TOKENS.get(token.strip().lower())
+        if member is None:
+            raise ValueError(f"unknown measure {token!r}")
+        return member
 
 
 CATALOG: tuple[MeasureId, ...] = tuple(MeasureId)
@@ -139,10 +159,12 @@ def measures_in_group(group: MeasureGroup) -> tuple[MeasureId, ...]:
     return tuple(m for m in CATALOG if m.group is group)
 
 
+# each measure id, lower-cased, and its measure
+_TOKENS = {m.value.lower(): m for m in CATALOG}
 # each selection token, lower-cased, and the measures it expands to:
 # the measure ids, the group names, and the keywords; no keyword is
 # also a measure id
-_SELECTION = {m.value.lower(): (m,) for m in CATALOG}
+_SELECTION = {token: (m,) for token, m in _TOKENS.items()}
 _SELECTION.update({group.value: measures_in_group(group) for group in MeasureGroup})
 _SELECTION.update({
     "all": CATALOG,
@@ -260,12 +282,6 @@ def _snap_unit(value: float, measure: MeasureId) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _exp_neg(divergence, r: "_Record") -> ExtendedValue:
-    """exp(-D) of one divergence between p(t) and p(y), or SINGULAR."""
-    d = divergence(r)
-    return SINGULAR if d is SINGULAR else math.exp(-d)
-
-
 class _Record(_Pair):
     """One matrix's shared quantities, each computed on first read and kept.
 
@@ -289,8 +305,7 @@ class _Record(_Pair):
 
     @cached_property
     def _terms(self) -> tuple[float, float, float]:
-        n = self.matrix.total
-        return _information_terms([[c / n for c in row] for row in self.matrix.counts], self.p, self.q)
+        return _information_terms(self.matrix.counts, self.matrix.total, self.p, self.q)
 
     h_t = cached_property(lambda r: _entropy(r.p))
     h_y = cached_property(lambda r: _entropy(r.q))
@@ -300,37 +315,6 @@ class _Record(_Pair):
     # (H(T;Y), H(Y;T))
     ce = cached_property(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
     perf = cached_property(lambda r: performance_summary(r.matrix))
-
-
-# One formula per catalog measure.  The 2-class-only rates are None
-# for a larger matrix.
-_FORMULAS: dict[MeasureId, Callable[[_Record], ExtendedValue | None]] = {
-    MeasureId.NI1: lambda r: r.i / r.h_t,
-    MeasureId.NI2: lambda r: r.i_m / r.h_t,
-    MeasureId.NI3: lambda r: _ratio(r.i, r.h_y),
-    MeasureId.NI4: lambda r: 0.5 * (r.i / r.h_t + _ratio(r.i, r.h_y)),
-    MeasureId.NI5: lambda r: 2.0 * r.i / (r.h_t + r.h_y),
-    MeasureId.NI6: lambda r: _ratio(r.i, math.sqrt(r.h_t * r.h_y)),
-    MeasureId.NI7: lambda r: r.i / r.h_joint,
-    MeasureId.NI8: lambda r: r.i / max(r.h_t, r.h_y),
-    MeasureId.NI9: lambda r: _ratio(r.i, min(r.h_t, r.h_y)),
-    # NI10-NI20: the divergence kind whose value is the measure's index
-    **{
-        MeasureId(f"NI{kind.value}"): partial(_exp_neg, _DISPATCH[kind])
-        for kind in DivergenceKind
-    },
-    MeasureId.NI21: lambda r: _ratio(r.h_t, r.ce[0]),
-    MeasureId.NI22: lambda r: _ratio(r.h_y, r.ce[1]),
-    MeasureId.NI23: lambda r: 0.5 * (_ratio(r.h_t, r.ce[0]) + _ratio(r.h_y, r.ce[1])),
-    MeasureId.NI24: lambda r: _ratio(r.h_t + r.h_y, r.ce[0] + r.ce[1]),
-    MeasureId.CORRECT_RATE: lambda r: r.perf.correct_rate,
-    MeasureId.ERROR_RATE: lambda r: r.perf.error_rate,
-    MeasureId.REJECT_RATE: lambda r: r.perf.reject_rate,
-    MeasureId.ACCURACY: lambda r: r.perf.accuracy,
-    MeasureId.PRECISION: lambda r: r.perf.precision,
-    MeasureId.RECALL: lambda r: r.perf.recall,
-    MeasureId.F1: lambda r: r.perf.f1,
-}
 
 
 @lru_cache(maxsize=32)
@@ -346,7 +330,7 @@ def _plan(selection: tuple) -> tuple[tuple[MeasureId, Callable, bool], ...]:
     if not selection:
         raise ValueError("empty measure selection")
     return tuple(
-        (m, _FORMULAS[m], m.ni_index is not None)
+        (m, m.formula, m.ni_index is not None)
         for m in sorted(set(selection), key=_POSITION.__getitem__)
     )
 

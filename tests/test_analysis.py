@@ -141,6 +141,19 @@ class TestCosts:
         with pytest.raises(ValueError, match="positive"):
             rejection_cost(0, 1, 100)
 
+    # a huge int meets a float, or a share underflows to 0: a ValueError
+    # that names the call, not an OverflowError or a bare math error
+    @pytest.mark.parametrize("cost, args, cause", [
+        (crossover_gap, (0.6, 2**1100, 1), "int too large to convert to float"),
+        (misclassification_cost, (2**1100, 1, 2**1101), "int too large to convert to float"),
+        (misclassification_cost, (2**1100, 1, 3), "int too large to convert to float"),
+        (rejection_cost, (1, 1, 2**1100), "math domain error"),
+    ], ids=["gap-huge-n", "error-huge-x-and-n", "error-huge-x", "reject-huge-n"])
+    def test_out_of_float_range_names_the_call(self, cost, args, cause):
+        with pytest.raises(ValueError) as info:
+            cost(*args)
+        assert str(info.value) == f"{cost.__name__}{args!r} is outside the float range ({cause})"
+
     @settings(max_examples=80)
     @given(
         st.floats(min_value=0.5, max_value=500.0),

@@ -400,9 +400,9 @@ class TestErrorsAndExitCodes:
         # the second model gets I = 5 bits over H(T) = 1 bit, so NI1 = 5
         calls = []
 
-        def second_breaks(rows, p_t, p_y):
+        def second_breaks(rows, n, p_t, p_y):
             calls.append(rows)
-            h_joint, i, i_m = real(rows, p_t, p_y)
+            h_joint, i, i_m = real(rows, n, p_t, p_y)
             return (h_joint, 5.0, i_m) if len(calls) == 2 else (h_joint, i, i_m)
 
         real = measures._information_terms

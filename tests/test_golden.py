@@ -1,34 +1,8 @@
 """Byte-exact CLI output on the bundled fixtures, and agreement between
 the single-measure, selection and CLI paths to the measure values.
 
-The files under ``golden/`` hold the ``--format json --precision raw``
-output of ``eval --measures all``, ``rank --measures information`` and
-``theorems`` for every bundled fixture, and of ``omega`` and ``sweep``
-at n = 100, d = 1.  Regenerate one with, e.g.::
-
-    python -m infoeval.cli eval binary_models --measures all \\
-        --format json --precision raw > tests/golden/eval_binary_models.json
-
-and review the diff: any change to a value is a change of behaviour.
-
-The same commands, plus ``omega`` and ``sweep`` at n = 100, d = 1, are
-also pinned in the default fixed precision as markdown (``.md``), CSV
-(``.csv``) and JSON (``.fixed.json``); for example
-``eval_binary_models.csv`` is the output of::
-
-    python -m infoeval.cli eval binary_models --measures all --format csv
-
-``eval_degenerate_models.json`` and ``rank_degenerate_models.json``
-pin ``eval`` and ``rank`` with ``--measures all`` on
-``degenerate_models.json``, matrices whose ratios meet a zero or
-infinite denominator (every sample rejected, one predicted column, a
-cross entropy near 0 or infinite, an empty predicted class, no
-error).  It is not a bundled fixture.  Regenerate with::
-
-    python -m infoeval.cli eval tests/degenerate_models.json --measures all \\
-        --format json --precision raw > tests/golden/eval_degenerate_models.json
-
-and the same with ``rank``.
+``goldens.GOLDENS`` maps each output golden under ``golden/`` to the
+command that writes it; its docstring says how to regenerate one.
 
 ``help_omega.txt`` and ``help_sweep.txt`` hold ``omega --help`` and
 ``sweep --help`` at ``COLUMNS=80``; ``eval`` and ``rank`` help is left
@@ -37,48 +11,61 @@ out, because Python 3.13 formats option aliases differently.
 import contextlib
 import io
 import json
-from pathlib import Path
+import re
 
 import pytest
+from goldens import GOLDEN, GOLDENS, output
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all, fixtures
+from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all
 from infoeval.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-DEGENERATE = Path(__file__).parent / "degenerate_models.json"
-
-COMMANDS = {
-    "eval": ("--measures", "all"),
-    "rank": ("--measures", "information"),
-    "theorems": (),
-}
+# one pattern per kind of golden; its groups, joined by "-", are the test id
+RAW = r"(eval|rank|theorems)_(?!degenerate)(\w+)\.json"
+DEGENERATE = r"(eval|rank)_degenerate_models\.json"
+RAW_SOLVER = r"(omega|sweep)_n100_d1\.json"
+FIXED = r"(\w+)\.(md|csv|fixed\.json)"
 
 
-@pytest.mark.parametrize("fixture", fixtures.available())
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_output_matches_golden(capsys, command, fixture):
-    argv = [command, fixture, *COMMANDS[command], "--format", "json", "--precision", "raw"]
-    assert main(argv) == 0
-    expected = (GOLDEN / f"{command}_{fixture}.json").read_text()
-    assert capsys.readouterr().out == expected
+def _goldens(pattern):
+    return [
+        pytest.param(name, id="-".join(match.groups()))
+        for name in GOLDENS
+        if (match := re.fullmatch(pattern, name))
+    ]
 
 
-@pytest.mark.parametrize("command", ["eval", "rank"])
-def test_degenerate_output_matches_golden(capsys, command):
-    argv = [command, str(DEGENERATE), "--measures", "all", "--format", "json", "--precision", "raw"]
-    assert main(argv) == 0
-    expected = (GOLDEN / f"{command}_degenerate_models.json").read_text()
-    assert capsys.readouterr().out == expected
+def _check(name):
+    assert output(GOLDENS[name]) == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("command", ["omega", "sweep"])
-def test_raw_solver_output_matches_golden(capsys, command):
-    argv = [command, "--n", "100", "--d", "1", "--format", "json", "--precision", "raw"]
-    assert main(argv) == 0
-    expected = (GOLDEN / f"{command}_n100_d1.json").read_text()
-    assert capsys.readouterr().out == expected
+@pytest.mark.parametrize("name", _goldens(RAW))
+def test_output_matches_golden(name):
+    _check(name)
+
+
+@pytest.mark.parametrize("name", _goldens(DEGENERATE))
+def test_degenerate_output_matches_golden(name):
+    _check(name)
+
+
+@pytest.mark.parametrize("name", _goldens(RAW_SOLVER))
+def test_raw_solver_output_matches_golden(name):
+    _check(name)
+
+
+@pytest.mark.parametrize("name", _goldens(FIXED))
+def test_fixed_precision_output_matches_golden(name):
+    _check(name)
+
+
+def test_each_golden_is_checked_once():
+    kinds = [sum(bool(re.fullmatch(p, name)) for p in (RAW, DEGENERATE, RAW_SOLVER, FIXED))
+             for name in GOLDENS]
+    assert kinds == [1] * len(GOLDENS) == [1] * 58
+    on_disk = {path.name for path in GOLDEN.iterdir()} - {"help_omega.txt", "help_sweep.txt"}
+    assert set(GOLDENS) == on_disk
 
 
 @pytest.mark.parametrize("command", ["omega", "sweep"])
@@ -88,25 +75,6 @@ def test_help_matches_golden(capsys, monkeypatch, command):
         main([command, "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
-
-
-FIXED_FORMATS = {"md": "markdown", "csv": "csv", "fixed.json": "json"}
-FIXED_CASES = [
-    (f"{command}_{fixture}", (command, fixture, *options))
-    for command, options in sorted(COMMANDS.items())
-    for fixture in fixtures.available()
-] + [
-    (f"{command}_n100_d1", (command, "--n", "100", "--d", "1"))
-    for command in ("omega", "sweep")
-]
-
-
-@pytest.mark.parametrize("suffix", sorted(FIXED_FORMATS))
-@pytest.mark.parametrize("stem, argv", FIXED_CASES, ids=[s for s, _ in FIXED_CASES])
-def test_fixed_precision_output_matches_golden(capsys, stem, argv, suffix):
-    assert main([*argv, "--format", FIXED_FORMATS[suffix]]) == 0
-    expected = (GOLDEN / f"{stem}.{suffix}").read_text()
-    assert capsys.readouterr().out == expected
 
 
 @st.composite
