@@ -51,6 +51,14 @@ __all__ = [
 
 _P_TOL = 1e-10
 _SCAN_POINTS = 1000  # grid intervals of the cross-over sign-change scan
+_SCAN_LO, _SCAN_HI = 0.5 + 1e-6, 1.0 - 1e-6
+# the scan's shares, built once: _SCAN_POINTS + 1 evenly spaced from
+# _SCAN_LO to _SCAN_HI, then the end p1 = 1, which can close a bracket
+# but is never evaluated
+_SCAN = (
+    *(_SCAN_LO + (_SCAN_HI - _SCAN_LO) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)),
+    1.0,
+)
 
 
 class CanonicalKind(Enum):
@@ -95,8 +103,18 @@ class CanonicalModel(namedtuple("CanonicalModel", "kind c1 c2 d")):
 
 def _out_of_range(function, args: tuple, exc: Exception) -> ValueError:
     # a huge int met a float, or a share underflowed to 0: caught where the
-    # formula fails, so the solver's thousand calls per solve check no bound
+    # formula fails, so no float bound is checked ahead of it
     return ValueError(f"{function.__name__}{args!r} is outside the float range ({exc})")
+
+
+# the two cost formulas, unchecked; each caller checks its own arguments
+# and turns a float-range failure into a ValueError that names it
+def _misclassification(x, d, n):
+    return (x * math.log2(x / (x + d)) + d * math.log2(d / (x + d))) / n
+
+
+def _rejection(c, d, n):
+    return d / n * math.log2(c / n)
 
 
 def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
@@ -107,9 +125,8 @@ def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     """
     if not (receiving_total > 0 and d > 0 and n > 0):
         raise ValueError("misclassification_cost needs positive arguments")
-    x = receiving_total
     try:
-        return (x * math.log2(x / (x + d)) + d * math.log2(d / (x + d))) / n
+        return _misclassification(receiving_total, d, n)
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(misclassification_cost, (receiving_total, d, n), exc) from None
 
@@ -122,7 +139,7 @@ def rejection_cost(class_total: float, d: float, n: float) -> float:
     if not (class_total > 0 and d > 0 and n > 0):
         raise ValueError("rejection_cost needs positive arguments")
     try:
-        return d / n * math.log2(class_total / n)
+        return _rejection(class_total, d, n)
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(rejection_cost, (class_total, d, n), exc) from None
 
@@ -203,15 +220,20 @@ def crossover_gap(p1: float, n: float, d: float) -> float:
 
     Both costs depend on the small class total c2 = (1 - p1) n,
     treated as continuous.  Negative when the error is the worse
-    departure, positive when the reject is.
+    departure, positive when the reject is.  ValueError unless
+    0 < p1 < 1, n > 0 and d > 0, or when a cost leaves float range.
     """
     if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must be in (0, 1), got {p1}")
+        raise ValueError(f"crossover_gap: p1 must be in (0, 1), got {p1}")
+    if not (n > 0 and d > 0):
+        raise ValueError(f"crossover_gap: n and d must be positive, got n={n}, d={d}")
+    # the solver calls this 1024 times, so the arguments are checked
+    # here once, not again by the public costs
     try:
         c2 = (1.0 - p1) * n
-    except OverflowError as exc:
+        return _misclassification(c2, d, n) - _rejection(c2, d, n)
+    except (OverflowError, ValueError) as exc:
         raise _out_of_range(crossover_gap, (p1, n, d), exc) from None
-    return misclassification_cost(c2, d, n) - rejection_cost(c2, d, n)
 
 
 class CrossoverResult(namedtuple("CrossoverResult", "n d omega brackets")):
@@ -246,17 +268,20 @@ def crossover_analysis(n: int, d: int) -> CrossoverResult:
     the gap grows without bound as the small class empties.  The
     bracket is bisected until it is narrower than 1e-10, so p1 = 1
     itself is never evaluated.  ValueError unless 2**255 > n > 2d > 0.
+
+    For n far above d the root has a closed form.  With x = (1 - p1) n,
+    n gap = x log2(x/(x+d)) + d log2(d/(x+d)) - d log2(x/n); for x >> d
+    the first term tends to -d/ln 2 and the rest to d log2(n d/x**2),
+    so the small class holds x* ~ sqrt(n d/e) samples at the crossing
+    and omega ~ 1 - sqrt(d/(e n)).  The relative error of x* is about a
+    quarter of sqrt(e d/n).
     """
     _check_split(n, d)
-    eps = 1e-6
-    lo, hi = 0.5 + eps, 1.0 - eps
-    xs = [lo + (hi - lo) * k / _SCAN_POINTS for k in range(_SCAN_POINTS + 1)]
-    fs = [crossover_gap(x, n, d) for x in xs]
+    fs = [crossover_gap(x, n, d) for x in _SCAN[:-1]]
     # the first point whose gap is not negative, else the end p1 = 1;
-    # the gap at lo is negative for every n > 2d, so k > 0
-    xs.append(1.0)
+    # the gap at the first point is negative for every n > 2d, so k > 0
     k = next((k for k, f in enumerate(fs) if not f < 0.0), len(fs))
-    bracket = a, b = xs[k - 1], xs[k]
+    bracket = a, b = _SCAN[k - 1], _SCAN[k]
     # 23 halvings of a ~5e-4 grid bracket, 14 of the 1e-6 end bracket;
     # floats in (0.5, 1) are 1.1e-16 apart
     while b - a >= _P_TOL:

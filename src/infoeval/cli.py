@@ -251,8 +251,10 @@ def _cmd_eval(args) -> str:
     payload = [
         {
             "name": model.model_name,
+            # _value_ is the member's token; Enum's value property is a
+            # Python-level call, and this reads it per measure and model
             "measures": {
-                item.measure.value: item.value
+                item.measure._value_: item.value
                 for item in evaluate_all(model, selection, strict=False)
             },
         }
@@ -273,7 +275,7 @@ def _cmd_rank(args) -> str:
     ]
     rankings = [
         {
-            "measure": report.measure.value,
+            "measure": report.measure._value_,
             "models": [
                 {"name": name, "value": value, "letter": letter}
                 for name, value, letter in zip(

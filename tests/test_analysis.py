@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoeval import analysis
 from infoeval import (
     AugmentedConfusionMatrix,
     BinaryConfusion,
@@ -145,14 +146,53 @@ class TestCosts:
     # that names the call, not an OverflowError or a bare math error
     @pytest.mark.parametrize("cost, args, cause", [
         (crossover_gap, (0.6, 2**1100, 1), "int too large to convert to float"),
+        (crossover_gap, (0.6, 10, 2**1100), "int too large to convert to float"),
         (misclassification_cost, (2**1100, 1, 2**1101), "int too large to convert to float"),
         (misclassification_cost, (2**1100, 1, 3), "int too large to convert to float"),
         (rejection_cost, (1, 1, 2**1100), "math domain error"),
-    ], ids=["gap-huge-n", "error-huge-x-and-n", "error-huge-x", "reject-huge-n"])
+    ], ids=["gap-huge-n", "gap-huge-d", "error-huge-x-and-n", "error-huge-x", "reject-huge-n"])
     def test_out_of_float_range_names_the_call(self, cost, args, cause):
         with pytest.raises(ValueError) as info:
             cost(*args)
         assert str(info.value) == f"{cost.__name__}{args!r} is outside the float range ({cause})"
+
+    # the gap checks its own arguments once; the costs it shares its
+    # formulas with do not check them again
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 10, 1), "p1 must be in (0, 1), got 0.0"),
+        ((1.0, 10, 1), "p1 must be in (0, 1), got 1.0"),
+        ((math.nan, 10, 1), "p1 must be in (0, 1), got nan"),
+        ((0.6, 10.0, math.nan), "n and d must be positive, got n=10.0, d=nan"),
+        ((0.6, math.nan, 1), "n and d must be positive, got n=nan, d=1"),
+        ((0.6, -10, 1), "n and d must be positive, got n=-10, d=1"),
+        ((0.6, 10, 0), "n and d must be positive, got n=10, d=0"),
+        ((0.6, 0, 1), "n and d must be positive, got n=0, d=1"),
+    ])
+    def test_gap_checks_its_arguments(self, args, message):
+        with pytest.raises(ValueError) as info:
+            crossover_gap(*args)
+        assert str(info.value) == f"crossover_gap: {message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(3, 2**254),
+        st.floats(1.0, 256.0),
+    )
+    def test_gap_is_the_difference_of_the_public_costs(self, p1, n, log2_ratio):
+        # bit for bit: the gap calls the same formulas the costs call
+        d = max(1, int(n / 2.0**log2_ratio))
+        c2 = (1.0 - p1) * n
+        public = misclassification_cost(c2, d, n) - rejection_cost(c2, d, n)
+        assert crossover_gap(p1, n, d).hex() == public.hex()
+
+    def test_scan_grid_is_the_per_solve_grid(self):
+        # 1001 shares evenly spaced from 0.5 + 1e-6 to 1 - 1e-6, each
+        # float as this expression gives it, then the end p1 = 1
+        eps = 1e-6
+        lo, hi = 0.5 + eps, 1.0 - eps
+        xs = [lo + (hi - lo) * k / 1000 for k in range(1001)]
+        assert [x.hex() for x in analysis._SCAN] == [x.hex() for x in xs + [1.0]]
 
     @settings(max_examples=80)
     @given(
@@ -288,6 +328,15 @@ class TestCrossover:
             crossover_analysis(10, 5)
         with pytest.raises(ValueError, match="p1 must be in"):
             crossover_gap(1.5, 100, 1)
+
+    @pytest.mark.parametrize("d", [1, 7, 1000])
+    @pytest.mark.parametrize("ratio", [10**k for k in range(2, 10)])
+    def test_asymptote(self, ratio, d):
+        # x* ~ sqrt(n d/e) for n >> d, off by about a quarter of
+        # sqrt(e d/n); past n/d ~ 1e10 omega's 1e-10 tolerance dominates
+        n = ratio * d
+        x = (1.0 - crossover_omega(n, d)) * n
+        assert abs(x / math.sqrt(n * d / math.e) - 1.0) <= math.sqrt(d * math.e / n)
 
 
 # the solver's scan: 1001 evenly spaced shares from 0.500001 to 0.999999
