@@ -121,10 +121,11 @@ def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     """Modified-MI change when d samples wrongly join a pure column.
 
     ``receiving_total`` is the correct count already in the receiving
-    class.  Continuous in all arguments; negative on the whole domain.
+    class.  Continuous in all arguments; negative on the whole domain,
+    where every argument is positive and finite.
     """
-    if not (receiving_total > 0 and d > 0 and n > 0):
-        raise ValueError("misclassification_cost needs positive arguments")
+    if not (0 < receiving_total < math.inf and 0 < d < math.inf and 0 < n < math.inf):
+        raise ValueError("misclassification_cost needs positive finite arguments")
     try:
         return _misclassification(receiving_total, d, n)
     except (OverflowError, ValueError) as exc:
@@ -134,10 +135,11 @@ def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
 def rejection_cost(class_total: float, d: float, n: float) -> float:
     """Modified-MI change when d samples of one class are rejected.
 
-    ``class_total`` is the rejected samples' own class total.
+    ``class_total`` is the rejected samples' own class total.  Every
+    argument must be positive and finite.
     """
-    if not (class_total > 0 and d > 0 and n > 0):
-        raise ValueError("rejection_cost needs positive arguments")
+    if not (0 < class_total < math.inf and 0 < d < math.inf and 0 < n < math.inf):
+        raise ValueError("rejection_cost needs positive finite arguments")
     try:
         return _rejection(class_total, d, n)
     except (OverflowError, ValueError) as exc:

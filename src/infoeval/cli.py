@@ -44,21 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _checked(convert, valid, problem: str):
-    """An argparse type: text that ``convert`` takes and ``valid`` accepts."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not valid(value):
-            raise argparse.ArgumentTypeError(problem.format(text))
-        return value
-
-    # argparse reports text that convert rejects as "invalid int value: 'q'"
-    parse.__name__ = convert.__name__
-    return parse
-
-
-_rounding = _checked(int, lambda v: 0 <= v <= 12, "rounding must be between 0 and 12")
+def _rounding(text: str) -> int:
+    """The --round value: an int from 0 to 12."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= 12:
+        raise argparse.ArgumentTypeError("rounding must be between 0 and 12")
+    return value
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:

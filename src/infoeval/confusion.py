@@ -176,7 +176,8 @@ class BinaryConfusion(namedtuple("BinaryConfusion", "tn fp rn fn tp rp")):
     """2-class layout: row 1 = negative class, row 2 = positive class.
 
     Cell map: c11=tn, c12=fp, c13=rn, c21=fn, c22=tp, c23=rp, so the
-    class totals are c1 = tn+fp+rn and c2 = fn+tp+rp.
+    class totals are c1 = tn+fp+rn and c2 = fn+tp+rp.  The total n is
+    bounded as a matrix's is, below 2**255.
     """
 
     tn: int
@@ -193,6 +194,9 @@ class BinaryConfusion(namedtuple("BinaryConfusion", "tn fp rn fn tp rp")):
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if tn + fp + rn == 0 or fn + tp + rp == 0:
             raise ValueError("each class needs at least one sample")
+        n = tn + fp + rn + fn + tp + rp
+        if n >= _MAX_TOTAL:
+            raise ValueError(f"total count {n} is too large; it must be below 2**255")
         return super().__new__(cls, tn, fp, rn, fn, tp, rp)
 
     @property

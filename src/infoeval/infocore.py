@@ -24,7 +24,7 @@ last digits of a result depend on the interpreter version.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import cached_property
 
@@ -76,24 +76,12 @@ def _check_simplex(p: Sequence[float], name: str) -> None:
         raise ValueError(f"{name} does not sum to 1 (got {math.fsum(p)!r})")
 
 
-class DivergenceKind(Enum):
-    """The eleven divergences between p(t) and p(y), in catalog order.
-
-    Values are the catalog indices of the normalized measures they
-    induce (10..20).
-    """
-
-    SQUARED_EUCLIDEAN = 10
-    CAUCHY_SCHWARZ = 11
-    KULLBACK_LEIBLER = 12
-    BHATTACHARYYA = 13
-    PEARSON_CHI_SQUARED = 14
-    HELLINGER = 15
-    VARIATION = 16
-    SYMMETRIC_KL = 17
-    JENSEN_SHANNON = 18
-    SYMMETRIC_CHI_SQUARED = 19
-    RESISTOR_AVERAGE_KL = 20
+def _check_pair(p: Sequence[float], q: Sequence[float]) -> None:
+    """Check two distributions on one support: equal lengths, each a simplex."""
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    _check_simplex(p, "p")
+    _check_simplex(q, "q")
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
@@ -164,10 +152,7 @@ def joint_entropy(d: EmpiricalDistribution) -> float:
 
 def cross_entropy(p: Sequence[float], q: Sequence[float]) -> float:
     """-sum p(z) log2 q(z); math.inf when some p(z) > 0 meets q(z) = 0."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    _check_simplex(p, "p")
-    _check_simplex(q, "q")
+    _check_pair(p, q)
     total = 0.0
     for a, b in zip(p, q):
         if a > 0.0:
@@ -282,19 +267,33 @@ class _Pair:
         return _chi_squared(self.q, self.p)
 
 
-_DISPATCH = {
-    DivergenceKind.SQUARED_EUCLIDEAN: lambda pq: _squared_euclidean(pq.p, pq.q),
-    DivergenceKind.CAUCHY_SCHWARZ: lambda pq: _cauchy_schwarz(pq.p, pq.q),
-    DivergenceKind.KULLBACK_LEIBLER: lambda pq: pq.kl,
-    DivergenceKind.BHATTACHARYYA: lambda pq: _bhattacharyya(pq.p, pq.q),
-    DivergenceKind.PEARSON_CHI_SQUARED: lambda pq: pq.chi2,
-    DivergenceKind.HELLINGER: lambda pq: _hellinger(pq.p, pq.q),
-    DivergenceKind.VARIATION: lambda pq: _variation(pq.p, pq.q),
-    DivergenceKind.SYMMETRIC_KL: lambda pq: _symmetric(pq.kl, pq.kl_back),
-    DivergenceKind.JENSEN_SHANNON: lambda pq: _jensen_shannon(pq.p, pq.q),
-    DivergenceKind.SYMMETRIC_CHI_SQUARED: lambda pq: _symmetric(pq.chi2, pq.chi2_back),
-    DivergenceKind.RESISTOR_AVERAGE_KL: lambda pq: _resistor_average(pq.kl, pq.kl_back),
-}
+class DivergenceKind(Enum):
+    """The eleven divergences between p(t) and p(y), in catalog order.
+
+    Each member is declared as its value, the catalog index (10..20) of
+    the normalized measure exp(-D) that it induces, and its formula, a
+    function of a checked :class:`_Pair` that returns D in bits or
+    SINGULAR.  The divergences built from a directed KL or chi-squared
+    value read the one the pair keeps.
+    """
+
+    SQUARED_EUCLIDEAN = 10, lambda pq: _squared_euclidean(pq.p, pq.q)
+    CAUCHY_SCHWARZ = 11, lambda pq: _cauchy_schwarz(pq.p, pq.q)
+    KULLBACK_LEIBLER = 12, lambda pq: pq.kl
+    BHATTACHARYYA = 13, lambda pq: _bhattacharyya(pq.p, pq.q)
+    PEARSON_CHI_SQUARED = 14, lambda pq: pq.chi2
+    HELLINGER = 15, lambda pq: _hellinger(pq.p, pq.q)
+    VARIATION = 16, lambda pq: _variation(pq.p, pq.q)
+    SYMMETRIC_KL = 17, lambda pq: _symmetric(pq.kl, pq.kl_back)
+    JENSEN_SHANNON = 18, lambda pq: _jensen_shannon(pq.p, pq.q)
+    SYMMETRIC_CHI_SQUARED = 19, lambda pq: _symmetric(pq.chi2, pq.chi2_back)
+    RESISTOR_AVERAGE_KL = 20, lambda pq: _resistor_average(pq.kl, pq.kl_back)
+
+    def __new__(cls, index: int, formula: Callable[[_Pair], ExtendedValue]):
+        member = object.__new__(cls)
+        member._value_ = index
+        member.formula = formula
+        return member
 
 
 def divergence(kind: DivergenceKind, p: Sequence[float], q: Sequence[float]) -> ExtendedValue:
@@ -304,8 +303,5 @@ def divergence(kind: DivergenceKind, p: Sequence[float], q: Sequence[float]) -> 
     use, p is the true-class marginal padded with a zero at the reject
     position and q is the predicted marginal.
     """
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    _check_simplex(p, "p")
-    _check_simplex(q, "q")
-    return _DISPATCH[kind](_Pair(tuple(p), tuple(q)))
+    _check_pair(p, q)
+    return kind.formula(_Pair(tuple(p), tuple(q)))

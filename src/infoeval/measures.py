@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
     SINGULAR,
-    _DISPATCH,
     DivergenceKind,
     ExtendedValue,
     _entropy,
@@ -73,7 +72,7 @@ class MeasureGroup(Enum):
 
 def _exp_neg(kind: DivergenceKind) -> Callable[["_Record"], ExtendedValue]:
     """The formula exp(-D) of one divergence between p(t) and p(y)."""
-    divergence = _DISPATCH[kind]
+    divergence = kind.formula
 
     def formula(r: "_Record") -> ExtendedValue:
         d = divergence(r)
@@ -152,7 +151,6 @@ class MeasureId(Enum):
 
 CATALOG: tuple[MeasureId, ...] = tuple(MeasureId)
 _INFORMATION = tuple(m for m in CATALOG if m.ni_index is not None)
-_POSITION = {m: k for k, m in enumerate(CATALOG)}
 
 
 def measures_in_group(group: MeasureGroup) -> tuple[MeasureId, ...]:
@@ -329,10 +327,8 @@ def _plan(selection: tuple) -> tuple[tuple[MeasureId, Callable, bool], ...]:
             raise ValueError(f"{item!r} is not a MeasureId")
     if not selection:
         raise ValueError("empty measure selection")
-    return tuple(
-        (m, m.formula, m.ni_index is not None)
-        for m in sorted(set(selection), key=_POSITION.__getitem__)
-    )
+    chosen = set(selection)
+    return tuple((m, m.formula, m.ni_index is not None) for m in CATALOG if m in chosen)
 
 
 def _run(plan, matrix: AugmentedConfusionMatrix, strict: bool) -> list[MeasureValue]:

@@ -141,6 +141,14 @@ class TestCosts:
             misclassification_cost(10, 0, 100)
         with pytest.raises(ValueError, match="positive"):
             rejection_cost(0, 1, 100)
+        # an infinite argument would give nan or -0.0, not a negative cost
+        for args in ((math.inf, 1, 100), (1, math.inf, 100), (1, 1, math.inf)):
+            with pytest.raises(ValueError, match="^misclassification_cost needs positive finite"):
+                misclassification_cost(*args)
+            with pytest.raises(ValueError, match="^rejection_cost needs positive finite"):
+                rejection_cost(*args)
+        with pytest.raises(ValueError, match="^rejection_cost needs positive finite"):
+            rejection_cost(math.inf, 1, math.inf)
 
     # a huge int meets a float, or a share underflows to 0: a ValueError
     # that names the call, not an OverflowError or a bare math error
@@ -257,6 +265,14 @@ class TestSensitivity:
         assert vec.d_fp == pytest.approx(math.log2(100 / 90) / 100, rel=1e-12)
         assert vec.d_fn == pytest.approx(math.log2(100 / 10) / 100, rel=1e-12)
 
+    def test_total_beyond_the_matrix_bound_is_refused(self):
+        # a bare OverflowError once came out of the partials' divisions
+        with pytest.raises(ValueError) as info:
+            sensitivity(BinaryConfusion(1, 0, 0, 0, 2**1100, 0))
+        assert str(info.value) == (
+            f"total count {2**1100 + 1} is too large; it must be below 2**255"
+        )
+
 
 class TestFirstOrderEstimate:
     def test_error_kinds_vanish_exactly(self):
@@ -279,6 +295,16 @@ class TestFirstOrderEstimate:
             assert small == pytest.approx(-3 * d * math.log2(n / c2) / n, rel=1e-12)
             assert large == pytest.approx(-3 * d * math.log2(n / c1) / n, rel=1e-12)
             assert small < large < 0.0
+
+    def test_total_beyond_the_matrix_bound_is_refused(self):
+        # the perfect classification's BinaryConfusion refuses the total,
+        # not a float conversion
+        model = CanonicalModel(CanonicalKind.SMALL_CLASS_REJECT, 2**1100, 2**299, 1)
+        with pytest.raises(ValueError) as info:
+            first_order_delta_estimate(model)
+        assert str(info.value) == (
+            f"total count {2**1100 + 2**299} is too large; it must be below 2**255"
+        )
 
     def test_estimate_underestimates_true_error_cost(self):
         # the vanishing first-order term hides a genuinely negative cost

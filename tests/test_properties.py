@@ -9,6 +9,9 @@
 * A perfect classifier (a diagonal matrix) has p(t) = p(y), so each
   divergence is 0: NI10, NI12, NI14-NI19 and NI21-NI24 are exactly 1.0
   and NI20 (0/0) is Singular.
+* Each of NI10-NI20 is exp(-D) of its divergence between p(t), padded
+  with a zero at the reject position, and p(y): Singular exactly when
+  ``divergence`` is, and otherwise min(1.0, exp(-D)) bit for bit.
 
 A matrix with a value outside [0, 1] raises InvariantViolation; the
 scale and relabel properties ask for the same outcome on both sides.
@@ -16,10 +19,21 @@ Of a perfect classifier, NI1-NI9, NI11 and NI13 miss 1.0 by rounding
 today (NI13 of the diagonal (1, 1, 2, 1, 2) is 0.9999999999999999), so
 those measures wait for the kernels' precision work.
 """
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoeval import CATALOG, SINGULAR, AugmentedConfusionMatrix, MeasureId, evaluate_all
+from infoeval import (
+    CATALOG,
+    SINGULAR,
+    AugmentedConfusionMatrix,
+    DivergenceKind,
+    MeasureId,
+    divergence,
+    evaluate,
+    evaluate_all,
+)
 from infoeval.measures import InvariantViolation
 
 # 16 units in the last place of 1.0, 3.6e-15; the worst seen over 60,000
@@ -94,3 +108,17 @@ def test_a_perfect_classifier_scores_exactly_one(diagonal):
     )
     assert _outcome(matrix, EXACTLY_ONE) == [1.0] * len(EXACTLY_ONE)
     assert evaluate_all(matrix, [MeasureId.NI20])[0].value is SINGULAR
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_each_divergence_measure_is_exp_minus_its_divergence(matrix):
+    n = matrix.total
+    p = (*(t / n for t in matrix.row_totals), 0.0)
+    q = tuple(t / n for t in matrix.column_totals)
+    for kind in DivergenceKind:
+        value = evaluate(MeasureId(f"NI{kind.value}"), matrix).value
+        d = divergence(kind, p, q)
+        assert (value is SINGULAR) == (d is SINGULAR), kind
+        if d is not SINGULAR:
+            assert value.hex() == min(1.0, math.exp(-d)).hex(), kind

@@ -205,6 +205,8 @@ VALIDATION = [
     (lambda: BinaryConfusion(True, 0, 0, 0, 1, 0), "tn must be a non-negative integer, got True"),
     (lambda: BinaryConfusion(0, 0, 0, 0, 1, 0), "each class needs at least one sample"),
     (lambda: BinaryConfusion(1, 0, 0, 0, 0, 0), "each class needs at least one sample"),
+    (lambda: BinaryConfusion(2**254, 0, 0, 0, 2**254, 0),
+     f"total count {2**255} is too large; it must be below 2**255"),
     (lambda: CanonicalModel(SMALL_ERROR, 3, 3, 1), "need c1 > c2 > d > 0, got c1=3, c2=3, d=1"),
     (lambda: CanonicalModel(SMALL_ERROR, 9, 3, 0), "need c1 > c2 > d > 0, got c1=9, c2=3, d=0"),
     (lambda: CanonicalModel(kind=SMALL_ERROR, c1=9, c2=3, d=3),
