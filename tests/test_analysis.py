@@ -266,7 +266,7 @@ class TestSensitivity:
         assert vec.d_fn == pytest.approx(math.log2(100 / 10) / 100, rel=1e-12)
 
     def test_total_beyond_the_matrix_bound_is_refused(self):
-        # a bare OverflowError once came out of the partials' divisions
+        # the total fails as bad input, not in the partials' float divisions
         with pytest.raises(ValueError) as info:
             sensitivity(BinaryConfusion(1, 0, 0, 0, 2**1100, 0))
         assert str(info.value) == (
