@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from enum import Enum
-from functools import cached_property
 
 from .confusion import EmpiricalDistribution
 
@@ -70,10 +69,13 @@ def is_singular(value) -> bool:
 
 
 def _check_simplex(p: Sequence[float], name: str) -> None:
-    if any(x < 0.0 for x in p):
+    # a NaN entry makes min() order-dependent, but it makes the sum NaN,
+    # which fails the sum test: every comparison with NaN is False
+    if min(p, default=0.0) < 0.0:
         raise ValueError(f"{name} has a negative entry")
-    if abs(math.fsum(p) - 1.0) > _SIMPLEX_TOL:
-        raise ValueError(f"{name} does not sum to 1 (got {math.fsum(p)!r})")
+    total = math.fsum(p)
+    if not abs(total - 1.0) <= _SIMPLEX_TOL:
+        raise ValueError(f"{name} does not sum to 1 (got {total!r})")
 
 
 def _check_pair(p: Sequence[float], q: Sequence[float]) -> None:
@@ -237,6 +239,28 @@ def _jensen_shannon(p, q) -> float:
     return _kl(p, mid) + _kl(q, mid)
 
 
+class _cached:
+    """A value computed on first read and kept in the instance's __dict__.
+
+    functools.cached_property without the lock that it takes on each
+    first read before Python 3.12.  As a non-data descriptor it is
+    shadowed by the stored value, so later reads are plain attribute
+    lookups.
+    """
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # looked up on the class, as help() does
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Pair:
     """Two distributions on one support, already checked.
 
@@ -250,19 +274,19 @@ class _Pair:
         self.p = p
         self.q = q
 
-    @cached_property
+    @_cached
     def kl(self) -> ExtendedValue:
         return _kl(self.p, self.q)
 
-    @cached_property
+    @_cached
     def kl_back(self) -> ExtendedValue:
         return _kl(self.q, self.p)
 
-    @cached_property
+    @_cached
     def chi2(self) -> ExtendedValue:
         return _chi_squared(self.p, self.q)
 
-    @cached_property
+    @_cached
     def chi2_back(self) -> ExtendedValue:
         return _chi_squared(self.q, self.p)
 
@@ -296,12 +320,14 @@ class DivergenceKind(Enum):
         return member
 
 
-def divergence(kind: DivergenceKind, p: Sequence[float], q: Sequence[float]) -> ExtendedValue:
+def divergence(kind: DivergenceKind | int, p: Sequence[float], q: Sequence[float]) -> ExtendedValue:
     """D_kind(p, q) in bits, or SINGULAR.
 
-    p and q must share a support of equal length; for confusion-matrix
-    use, p is the true-class marginal padded with a zero at the reject
-    position and q is the predicted marginal.
+    ``kind`` is a member or its catalog index (10..20); anything else
+    raises ValueError.  p and q must share a support of equal length;
+    for confusion-matrix use, p is the true-class marginal padded with
+    a zero at the reject position and q is the predicted marginal.
     """
+    formula = DivergenceKind(kind).formula
     _check_pair(p, q)
-    return kind.formula(_Pair(tuple(p), tuple(q)))
+    return formula(_Pair(tuple(p), tuple(q)))

@@ -29,13 +29,14 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .confusion import AugmentedConfusionMatrix
 from .infocore import (
     SINGULAR,
     DivergenceKind,
     ExtendedValue,
+    _cached,
     _entropy,
     _information_terms,
     _Pair,
@@ -301,18 +302,18 @@ class _Record(_Pair):
         _Pair.__init__(self, (*(t / n for t in matrix.row_totals), 0.0),
                        tuple(t / n for t in matrix.column_totals))
 
-    @cached_property
+    @_cached
     def _terms(self) -> tuple[float, float, float]:
         return _information_terms(self.matrix.counts, self.matrix.total, self.p, self.q)
 
-    h_t = cached_property(lambda r: _entropy(r.p))
-    h_y = cached_property(lambda r: _entropy(r.q))
-    h_joint = cached_property(lambda r: r._terms[0])
-    i = cached_property(lambda r: r._terms[1])
-    i_m = cached_property(lambda r: r._terms[2])
+    h_t = _cached(lambda r: _entropy(r.p))
+    h_y = _cached(lambda r: _entropy(r.q))
+    h_joint = _cached(lambda r: r._terms[0])
+    i = _cached(lambda r: r._terms[1])
+    i_m = _cached(lambda r: r._terms[2])
     # (H(T;Y), H(Y;T))
-    ce = cached_property(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
-    perf = cached_property(lambda r: performance_summary(r.matrix))
+    ce = _cached(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
+    perf = _cached(lambda r: performance_summary(r.matrix))
 
 
 @lru_cache(maxsize=32)
@@ -345,7 +346,8 @@ def _run(plan, matrix: AugmentedConfusionMatrix, strict: bool) -> list[MeasureVa
                     raise ValueError(
                         f"{measure.value} needs a 2-class matrix, got {matrix.n_classes} classes"
                     )
-            elif bounded and value is not SINGULAR:
+            elif bounded and value is not SINGULAR and not 0.0 < value < 1.0:
+                # inside (0, 1) the snap would return the value itself
                 value = _snap_unit(value, measure)
             values.append(new(MeasureValue, (measure, value)))
     except (InvariantViolation, ValueError) as exc:

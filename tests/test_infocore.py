@@ -101,6 +101,18 @@ class TestEntropy:
         with pytest.raises(ValueError, match="sum to 1"):
             shannon_entropy((0.5, 0.4))
 
+    @pytest.mark.parametrize("call", [
+        lambda p: shannon_entropy(p),
+        lambda p: cross_entropy(p, (0.5, 0.5)),
+        lambda p: cross_entropy((0.5, 0.5), p),
+        lambda p: divergence(DivergenceKind.KULLBACK_LEIBLER, p, (0.5, 0.5)),
+    ])
+    @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0)])
+    def test_nan_entry_rejected(self, call, p):
+        # every comparison with NaN is False, so a NaN passes no test
+        with pytest.raises(ValueError, match="sum to 1|negative entry"):
+            call(p)
+
     def test_scipy_agreement(self):
         p = (0.8, 0.15, 0.05)
         assert shannon_entropy(p) == pytest.approx(
@@ -412,3 +424,12 @@ class TestDivergenceProperties:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             divergence(DivergenceKind.VARIATION, (1.0,), (0.5, 0.5))
+
+    def test_kind_is_a_member_or_its_index(self):
+        p = (0.95, 0.05, 0.0)
+        q = (0.6, 0.4, 0.0)
+        by_member = divergence(DivergenceKind.KULLBACK_LEIBLER, p, q)
+        assert by_member == pytest.approx(M5_DIVERGENCES[2], rel=1e-9)
+        assert divergence(12, p, q) == by_member
+        with pytest.raises(ValueError, match="99 is not a valid DivergenceKind"):
+            divergence(99, p, q)

@@ -1,18 +1,34 @@
 """The per-matrix evaluation record computes each shared quantity once,
 and only when a selected measure reads it, builds no distributions, and
-its marginals need no simplex check."""
+its marginals need no simplex check.  Each NI value it yields is its
+formula's value snapped to [0, 1]."""
 import collections
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infoeval import CATALOG, AugmentedConfusionMatrix, MeasureId, evaluate, evaluate_all
-from infoeval import measures
+from infoeval import (
+    CATALOG,
+    SINGULAR,
+    AugmentedConfusionMatrix,
+    MeasureId,
+    evaluate,
+    evaluate_all,
+)
+from infoeval import infocore, measures
+from infoeval.measures import InvariantViolation, _Record, _snap_unit
 
-_KERNELS = ("_information_terms", "cross_entropy", "performance_summary")
+_KERNELS = (
+    (measures, "_information_terms"),
+    (measures, "cross_entropy"),
+    (measures, "performance_summary"),
+    # the directed divergences that a _Pair keeps
+    (infocore, "_kl"),
+    (infocore, "_chi_squared"),
+)
 
 _MATRICES = [
     ((90, 0, 0), (2, 8, 0)),
@@ -34,8 +50,8 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in _KERNELS:
-        monkeypatch.setattr(measures, name, counting(name, getattr(measures, name)))
+    for module, name in _KERNELS:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(
         AugmentedConfusionMatrix,
         "distributions",
@@ -53,6 +69,8 @@ def test_full_catalog_computes_each_quantity_once(calls, rows):
     assert calls["_information_terms"] <= 1  # H(T,Y), I and I_M in one pass
     assert calls["performance_summary"] <= 1
     assert calls["distributions"] == 0  # the record reads the counts
+    assert calls["_chi_squared"] == 2  # chi2 and chi2_back
+    assert calls["_kl"] == 4  # kl, kl_back, and Jensen-Shannon's two halves
 
 
 @pytest.mark.parametrize("rows", _MATRICES)
@@ -62,6 +80,16 @@ def test_single_ni2_reads_only_what_it_needs(calls, rows):
     assert calls["cross_entropy"] == 0
     assert calls["performance_summary"] == 0
     assert calls["distributions"] == 0
+    assert calls["_kl"] == calls["_chi_squared"] == 0
+
+
+def test_a_field_is_kept_in_the_instance():
+    record = _Record(AugmentedConfusionMatrix.from_rows(_MATRICES[0]))
+    assert "h_t" not in vars(record)
+    h_t = record.h_t
+    assert vars(record)["h_t"] is h_t is record.h_t
+    # looked up on the class, as help() does, a field is its descriptor
+    assert isinstance(_Record.h_t, infocore._cached)
 
 
 @st.composite
@@ -84,3 +112,45 @@ def test_marginals_are_simplices_without_a_check(matrix):
     for marginal in (d.row_marginal, d.col_marginal):
         assert min(marginal) >= 0.0
         assert abs(math.fsum(marginal) - 1.0) <= 2**-53
+
+
+@st.composite
+def small_matrices(draw):
+    """Small counts, which reach exact zeros and ones often."""
+    m = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 20), min_size=m + 1, max_size=m + 1),
+                         min_size=m, max_size=m))
+    for i, row in enumerate(rows):
+        row[i] += 1  # no empty class
+    return AugmentedConfusionMatrix(rows)
+
+
+# raw NI1-NI9 of about -1.5e-16, and of 1.0000000000000002: both in the snap band
+_SNAP_BAND = (((70, 135, 0), (14, 27, 0)), ((12, 0, 0), (0, 50, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(), valid_matrices()))
+@example(AugmentedConfusionMatrix(_SNAP_BAND[0]))
+@example(AugmentedConfusionMatrix(_SNAP_BAND[1]))
+def test_each_bounded_value_is_its_snapped_formula(matrix):
+    expected = []
+    try:
+        for measure in measures._INFORMATION:
+            raw = measure.formula(_Record(matrix))
+            if raw is not SINGULAR:
+                expected.append((measure, float.hex(_snap_unit(raw, measure))))
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            evaluate_all(matrix)
+        return
+    got = [(m, float.hex(v)) for m, v in evaluate_all(matrix) if v is not SINGULAR]
+    assert got == expected
+
+
+@pytest.mark.parametrize("rows, snapped", zip(_SNAP_BAND, (0.0, 1.0)))
+def test_the_snap_band_examples_reach_the_band(rows, snapped):
+    matrix = AugmentedConfusionMatrix(rows)
+    raw = MeasureId.NI1.formula(_Record(matrix))
+    assert raw != snapped and abs(raw - snapped) < 1e-15
+    assert evaluate(MeasureId.NI1, matrix).value == snapped
