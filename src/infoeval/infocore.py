@@ -240,12 +240,10 @@ def _jensen_shannon(p, q) -> float:
 
 
 class _cached:
-    """A value computed on first read and kept in the instance's __dict__.
+    """functools.cached_property without the lock it takes before Python 3.12.
 
-    functools.cached_property without the lock that it takes on each
-    first read before Python 3.12.  As a non-data descriptor it is
-    shadowed by the stored value, so later reads are plain attribute
-    lookups.
+    The value is kept in the instance's __dict__, where it shadows this
+    non-data descriptor, so later reads are plain attribute lookups.
     """
 
     def __init__(self, func):

@@ -102,14 +102,14 @@ class TestEntropy:
             shannon_entropy((0.5, 0.4))
 
     @pytest.mark.parametrize("call", [
-        lambda p: shannon_entropy(p),
+        shannon_entropy,
         lambda p: cross_entropy(p, (0.5, 0.5)),
         lambda p: cross_entropy((0.5, 0.5), p),
         lambda p: divergence(DivergenceKind.KULLBACK_LEIBLER, p, (0.5, 0.5)),
     ])
     @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0)])
     def test_nan_entry_rejected(self, call, p):
-        # every comparison with NaN is False, so a NaN passes no test
+        # a NaN compares False with everything; the sum test fails on False
         with pytest.raises(ValueError, match="sum to 1|negative entry"):
             call(p)
 
