@@ -28,14 +28,10 @@ _MAX_TOTAL = 2**255
 
 
 def _as_count(value, where: str) -> int:
-    # bool is an int subclass; keep it out of count data
-    if isinstance(value, bool):
-        raise ValueError(f"{where}: count must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"{where}: count must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    # bool is an int subclass; keep it out of count data
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{where}: count must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{where}: negative entry {value}")

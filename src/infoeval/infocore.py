@@ -73,7 +73,10 @@ def _check_simplex(p: Sequence[float], name: str) -> None:
     # which fails the sum test: every comparison with NaN is False
     if min(p, default=0.0) < 0.0:
         raise ValueError(f"{name} has a negative entry")
-    total = math.fsum(p)
+    try:
+        total = math.fsum(p)
+    except OverflowError:  # a partial sum beyond the float range
+        total = math.inf
     if not abs(total - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"{name} does not sum to 1 (got {total!r})")
 

@@ -150,6 +150,14 @@ class TestCosts:
         with pytest.raises(ValueError, match="^rejection_cost needs positive finite"):
             rejection_cost(math.inf, 1, math.inf)
 
+    def test_underflowing_rejection_cost_is_negative_zero(self):
+        # d / n underflows to 0.0 and log2(c / n) is about -1023.15; the
+        # exact value, about -1.0e-625, underflows too, so -0.0 is its
+        # correctly rounded, correctly signed result
+        v = rejection_cost(1.0, 1e-320, 1e308)
+        assert v == 0.0
+        assert math.copysign(1.0, v) == -1.0
+
     # a huge int meets a float, or a share underflows to 0: a ValueError
     # that names the call, not an OverflowError or a bare math error
     @pytest.mark.parametrize("cost, args, cause", [

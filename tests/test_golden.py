@@ -11,7 +11,6 @@ out, because Python 3.13 formats option aliases differently.
 import contextlib
 import io
 import json
-import re
 
 import pytest
 from goldens import GOLDEN, GOLDENS, output
@@ -21,51 +20,16 @@ from hypothesis import strategies as st
 from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all
 from infoeval.cli import main
 
-# one pattern per kind of golden; its groups, joined by "-", are the test id
-RAW = r"(eval|rank|theorems)_(?!degenerate)(\w+)\.json"
-DEGENERATE = r"(eval|rank)_degenerate_models\.json"
-RAW_SOLVER = r"(omega|sweep)_n100_d1\.json"
-FIXED = r"(\w+)\.(md|csv|fixed\.json)"
 
-
-def _goldens(pattern):
-    return [
-        pytest.param(name, id="-".join(match.groups()))
-        for name in GOLDENS
-        if (match := re.fullmatch(pattern, name))
-    ]
-
-
-def _check(name):
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_output_matches_golden(name):
     assert output(GOLDENS[name]) == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("name", _goldens(RAW))
-def test_output_matches_golden(name):
-    _check(name)
-
-
-@pytest.mark.parametrize("name", _goldens(DEGENERATE))
-def test_degenerate_output_matches_golden(name):
-    _check(name)
-
-
-@pytest.mark.parametrize("name", _goldens(RAW_SOLVER))
-def test_raw_solver_output_matches_golden(name):
-    _check(name)
-
-
-@pytest.mark.parametrize("name", _goldens(FIXED))
-def test_fixed_precision_output_matches_golden(name):
-    _check(name)
-
-
 def test_each_golden_is_checked_once():
-    kinds = [sum(bool(re.fullmatch(p, name)) for p in (RAW, DEGENERATE, RAW_SOLVER, FIXED))
-             for name in GOLDENS]
-    assert kinds == [1] * len(GOLDENS) == [1] * 58
     on_disk = {path.name for path in GOLDEN.iterdir()} - {"help_omega.txt", "help_sweep.txt"}
     assert set(GOLDENS) == on_disk
+    assert len(GOLDENS) == 58
 
 
 @pytest.mark.parametrize("command", ["omega", "sweep"])

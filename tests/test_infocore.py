@@ -1,16 +1,12 @@
-"""Entropy/MI/divergence kernels against frozen high-precision values
-and independent scipy implementations."""
+"""Entropy/MI/divergence kernels against frozen high-precision values."""
 import math
 import random
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import jensenshannon
-from scipy.stats import entropy as scipy_entropy
 
 from infoeval import (
     SINGULAR,
@@ -96,6 +92,9 @@ class TestEntropy:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="negative entry"):
             shannon_entropy((1.2, -0.2))
+        # named before a sum that would overflow
+        with pytest.raises(ValueError, match="negative entry"):
+            shannon_entropy((1e308, 1e308, -1e308))
 
     def test_non_simplex_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -113,11 +112,17 @@ class TestEntropy:
         with pytest.raises(ValueError, match="sum to 1|negative entry"):
             call(p)
 
-    def test_scipy_agreement(self):
-        p = (0.8, 0.15, 0.05)
-        assert shannon_entropy(p) == pytest.approx(
-            scipy_entropy(p, base=2), rel=1e-12
-        )
+    @pytest.mark.parametrize("call, name", [
+        (shannon_entropy, "p"),
+        (lambda p: cross_entropy(p, (0.5, 0.5)), "p"),
+        (lambda q: cross_entropy((0.5, 0.5), q), "q"),
+        (lambda q: divergence(DivergenceKind.KULLBACK_LEIBLER, (0.5, 0.5), q), "q"),
+    ])
+    def test_sum_beyond_the_float_range_rejected(self, call, name):
+        # math.fsum raises OverflowError on a partial sum past the float range
+        with pytest.raises(ValueError) as info:
+            call((1e308, 1e308))
+        assert str(info.value) == f"{name} does not sum to 1 (got inf)"
 
 
 class TestMutualInformation:
@@ -251,22 +256,6 @@ class TestDivergenceValues:
         q = (0.6, 0.4, 0.0)
         assert divergence(kind, p, q) == pytest.approx(expected, rel=1e-9)
 
-    def test_kl_against_scipy(self):
-        p = (0.8, 0.15, 0.05)
-        q = (0.6, 0.3, 0.1)
-        assert divergence(DivergenceKind.KULLBACK_LEIBLER, p, q) == pytest.approx(
-            scipy_entropy(p, q, base=2), rel=1e-12
-        )
-
-    def test_jensen_shannon_against_scipy(self):
-        # scipy: sqrt((KL(p,m) + KL(q,m)) / 2); catalog uses the plain sum
-        p = (0.8, 0.15, 0.05)
-        q = (0.5, 0.25, 0.25)
-        expected = 2.0 * jensenshannon(p, q, base=2) ** 2
-        assert divergence(DivergenceKind.JENSEN_SHANNON, p, q) == pytest.approx(
-            expected, rel=1e-9
-        )
-
     def test_jensen_shannon_is_finite_at_the_smallest_subnormal(self):
         # (a + b) / 2 rounds to 0 at a = 5e-324, b = 0; the midpoint
         # keeps a there, so the divergence stays finite
@@ -288,33 +277,6 @@ class TestDivergenceValues:
         assert divergence(DivergenceKind.BHATTACHARYYA, p, q) == pytest.approx(
             -math.log2(overlap), rel=1e-12
         )
-
-    def test_cauchy_schwarz_direct_form(self):
-        p = np.array([0.7, 0.2, 0.1])
-        q = np.array([0.4, 0.4, 0.2])
-        expected = math.log2(
-            float(p @ p) * float(q @ q) / float(p @ q) ** 2
-        )
-        assert divergence(DivergenceKind.CAUCHY_SCHWARZ, p, q) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_symmetric_kl_is_both_directions(self):
-        p = (0.8, 0.15, 0.05)
-        q = (0.6, 0.3, 0.1)
-        both = scipy_entropy(p, q, base=2) + scipy_entropy(q, p, base=2)
-        assert divergence(DivergenceKind.SYMMETRIC_KL, p, q) == pytest.approx(
-            both, rel=1e-12
-        )
-
-    def test_resistor_average_from_kl_pair(self):
-        p = (0.8, 0.15, 0.05)
-        q = (0.6, 0.3, 0.1)
-        f = scipy_entropy(p, q, base=2)
-        b = scipy_entropy(q, p, base=2)
-        assert divergence(
-            DivergenceKind.RESISTOR_AVERAGE_KL, p, q
-        ) == pytest.approx(f * b / (f + b), rel=1e-12)
 
     def test_pearson_chi_squared_exact_fraction(self):
         p = (Fraction(3, 4), Fraction(1, 4))

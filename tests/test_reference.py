@@ -10,15 +10,22 @@ Cauchy-Schwarz, Bhattacharyya, Hellinger, variation, Jensen-Shannon).
 The symmetric KL, symmetric chi-squared and resistor-average forms are
 checked through the measures that combine the directed values (NI17,
 NI19, NI20).
+
+``TestEntropy`` and ``TestDivergenceValues`` check the public kernels on
+fixed distributions: entropy, KL and Jensen-Shannon against scipy, the
+Cauchy-Schwarz divergence against its numpy dot-product form, and the
+symmetric KL and resistor-average forms against scipy's KL in both
+directions.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 from scipy.special import rel_entr
-from scipy.stats import entropy
+from scipy.stats import entropy as scipy_entropy
 
 from infoeval import (
     SINGULAR,
@@ -85,11 +92,11 @@ def _reference(matrix):
     p_y = counts.sum(axis=0) / n
     p = np.append(p_t, 0.0)  # p(t) on p(y)'s support
     mi_terms = rel_entr(joint, np.outer(p_t, p_y)) / _LN2
-    h_t, h_y = entropy(p_t, base=2), entropy(p_y, base=2)
+    h_t, h_y = scipy_entropy(p_t, base=2), scipy_entropy(p_y, base=2)
     return {
         "h_t": h_t,
         "h_y": h_y,
-        "h_joint": entropy(joint.ravel(), base=2),
+        "h_joint": scipy_entropy(joint.ravel(), base=2),
         "i": mi_terms.sum(),
         "i_m": mi_terms[:, :-1].sum(),
         # H(a;b) = H(a) + KL(a||b)
@@ -205,3 +212,56 @@ def supports(draw):
 @example(((1.0, 0.0), (0.0, 1.0)))
 def test_other_divergences_singular_exactly_without_overlap(pair):
     _check_other_divergences(*pair)
+
+
+class TestEntropy:
+    def test_scipy_agreement(self):
+        p = (0.8, 0.15, 0.05)
+        assert shannon_entropy(p) == pytest.approx(
+            scipy_entropy(p, base=2), rel=1e-12
+        )
+
+
+class TestDivergenceValues:
+    def test_kl_against_scipy(self):
+        p = (0.8, 0.15, 0.05)
+        q = (0.6, 0.3, 0.1)
+        assert divergence(DivergenceKind.KULLBACK_LEIBLER, p, q) == pytest.approx(
+            scipy_entropy(p, q, base=2), rel=1e-12
+        )
+
+    def test_jensen_shannon_against_scipy(self):
+        # scipy: sqrt((KL(p,m) + KL(q,m)) / 2); catalog uses the plain sum
+        p = (0.8, 0.15, 0.05)
+        q = (0.5, 0.25, 0.25)
+        expected = 2.0 * jensenshannon(p, q, base=2) ** 2
+        assert divergence(DivergenceKind.JENSEN_SHANNON, p, q) == pytest.approx(
+            expected, rel=1e-9
+        )
+
+    def test_cauchy_schwarz_direct_form(self):
+        p = np.array([0.7, 0.2, 0.1])
+        q = np.array([0.4, 0.4, 0.2])
+        expected = math.log2(
+            float(p @ p) * float(q @ q) / float(p @ q) ** 2
+        )
+        assert divergence(DivergenceKind.CAUCHY_SCHWARZ, p, q) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_symmetric_kl_is_both_directions(self):
+        p = (0.8, 0.15, 0.05)
+        q = (0.6, 0.3, 0.1)
+        both = scipy_entropy(p, q, base=2) + scipy_entropy(q, p, base=2)
+        assert divergence(DivergenceKind.SYMMETRIC_KL, p, q) == pytest.approx(
+            both, rel=1e-12
+        )
+
+    def test_resistor_average_from_kl_pair(self):
+        p = (0.8, 0.15, 0.05)
+        q = (0.6, 0.3, 0.1)
+        f = scipy_entropy(p, q, base=2)
+        b = scipy_entropy(q, p, base=2)
+        assert divergence(
+            DivergenceKind.RESISTOR_AVERAGE_KL, p, q
+        ) == pytest.approx(f * b / (f + b), rel=1e-12)

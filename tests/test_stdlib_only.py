@@ -3,8 +3,10 @@ CLI imports none of the standard modules that only slow its start.
 
 numpy and scipy are test dependencies (the reference checks use them),
 so an accidental runtime import would pass unnoticed in-process; a
-fresh interpreter shows it.
+fresh interpreter shows it.  Only the two reference modules import
+them, so the rest of the tests run on an interpreter without them.
 """
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,23 @@ def test_runtime_imports_neither_numpy_nor_scipy():
         [sys.executable, "-c", PROBE], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == ""
+
+
+def _imported_packages(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_only_the_reference_modules_import_numpy_or_scipy():
+    importers = {
+        path.name
+        for path in Path(__file__).parent.glob("*.py")
+        if {"numpy", "scipy"} & set(_imported_packages(path))
+    }
+    assert importers == {"test_acceptance.py", "test_reference.py"}
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; none of them, nor

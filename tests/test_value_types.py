@@ -196,6 +196,9 @@ VALIDATION = [
     (_matrix(((1, 0.5, 0), (0, 1, 0))), "row 1, column 2: count must be an integer, got 0.5"),
     (_matrix(((1, 0, 0), (True, 1, 0))), "row 2, column 1: count must be an integer, got True"),
     (_matrix(((1, "2", 0), (0, 1, 0))), "row 1, column 2: count must be an integer, got '2'"),
+    (_matrix(((1, float("inf"), 0), (0, 1, 0))), "row 1, column 2: count must be an integer, got inf"),
+    (_matrix(((1, 0, float("nan")), (0, 1, 0))), "row 1, column 3: count must be an integer, got nan"),
+    (_matrix(((-1.0, 1, 0), (0, 1, 0))), "row 1, column 1: negative entry -1"),
     (_matrix(((1, 0, 0), (0, -1, 2))), "row 2, column 2: negative entry -1"),
     (_matrix(((1, 0, 0), (0, 0, 0))), "row total is zero (class 2)"),
     (_matrix(((2**255, 0, 0), (0, 1, 0))),
