@@ -20,15 +20,6 @@ H(T,Y), I and I_M share one pass over the joint table.  Every sum adds
 its terms left to right in a plain loop.  The built-in ``sum``
 compensates float rounding from Python 3.12 on, which would make the
 last digits of a result depend on the interpreter version.
-
-The log2 of a quotient within 1/128 of 1 is taken from the difference
-of its numerator and denominator, by log1p.  Rounding the quotient
-first would move the logarithm by up to about 2**-53 / ln 2, which is
-large against a logarithm near 0: H(T) and I of a table with one
-dominant class lost about 1e-12 of their value that way, and NI1 of
-[[2**27, 0], [0, 1]] read 1 + 1.1e-9.  With integer counts the
-difference is exact.  Outside the band a term's rounding error stays
-below about 1e-13 of the term.
 """
 from __future__ import annotations
 
@@ -52,9 +43,6 @@ __all__ = [
 ]
 
 _SIMPLEX_TOL = 1e-12
-_LN2 = math.log(2.0)
-# a quotient inside these bounds takes its log2 from _log2_near
-_NEAR_LOW, _NEAR_HIGH = 127 / 128, 129 / 128
 
 
 class _Singular:
@@ -107,25 +95,12 @@ def shannon_entropy(p: Sequence[float]) -> float:
     return _entropy(p)
 
 
-def _log2_near(a, b) -> float:
-    """log2(a / b) for a / b near 1, from the difference a - b.
-
-    The difference is exact for integers, and for floats within a
-    factor 2 of each other (Sterbenz's lemma).
-    """
-    return math.log1p((a - b) / b) / _LN2
-
-
-def _entropy(counts, n=1) -> float:
-    """H of counts out of n: integer totals, or shares and n = 1.
-
-    Unchecked: for callers that have checked the shares once already.
-    """
+def _entropy(p) -> float:
+    # unchecked: for callers that have checked p once already
     total = 0.0
-    for c in counts:
-        if c > 0:
-            x = c / n
-            total += x * (_log2_near(c, n) if x > _NEAR_LOW else math.log2(x))
+    for x in p:
+        if x > 0.0:
+            total += x * math.log2(x)
     return -total
 
 
@@ -136,44 +111,32 @@ def _sum(terms) -> float:
     return total
 
 
-def _information_terms(rows, n, p_t, p_y, row_totals, col_totals) -> tuple[float, float, float]:
+def _information_terms(rows, n, p_t, p_y) -> tuple[float, float, float]:
     """(H(T,Y), I(T,Y), I_M(T,Y)) in one row-major pass over a joint table.
 
-    ``rows`` are the cells of the table as counts out of ``n``, and
-    ``row_totals`` and ``col_totals`` its margins on the same scale: the
+    ``rows`` are the cells of the table as counts out of ``n``: the
     integer counts of a matrix and its total, or shares and n = 1, where
-    x / 1 is exact.  ``p_t`` and ``p_y`` are the margins as shares.
-    Each nonzero cell becomes its share p(t, y) once, as the pass
-    reaches it; zeros add nothing.  A row's last cell, its reject cell,
-    adds to H(T,Y) and I but not to I_M.
+    x / 1 is exact.  Each nonzero cell becomes its share p(t, y) once,
+    as the pass reaches it; zeros add nothing.  A row's last cell, its
+    reject cell, adds to H(T,Y) and I but not to I_M.
     """
     h = i = i_m = 0.0
     reject = len(p_y) - 1
-    for row, pt, rt in zip(rows, p_t, row_totals):
+    for row, pt in zip(rows, p_t):
         for j, c in enumerate(row):
             if c > 0:
                 p = c / n
-                h += p * (_log2_near(c, n) if p > _NEAR_LOW else math.log2(p))
-                r = p / (pt * p_y[j])
-                if _NEAR_LOW < r < _NEAR_HIGH:
-                    # p / (pt py) = c n / (row total * column total)
-                    term = p * _log2_near(c * n, rt * col_totals[j])
-                else:
-                    term = p * math.log2(r)
+                h += p * math.log2(p)
+                term = p * math.log2(p / (pt * p_y[j]))
                 i += term
                 if j != reject:
                     i_m += term
     return -h, i, i_m
 
 
-def _share_terms(d: EmpiricalDistribution) -> tuple[float, float, float]:
-    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal,
-                              d.row_marginal, d.col_marginal)
-
-
 def mutual_information(d: EmpiricalDistribution) -> float:
     """Empirical I(T,Y) over all m+1 output columns, reject included."""
-    return _share_terms(d)[1]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[1]
 
 
 def modified_mutual_information(d: EmpiricalDistribution) -> float:
@@ -184,29 +147,23 @@ def modified_mutual_information(d: EmpiricalDistribution) -> float:
     carry different costs.  Equals mutual_information exactly when the
     reject column is empty.
     """
-    return _share_terms(d)[2]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[2]
 
 
 def joint_entropy(d: EmpiricalDistribution) -> float:
     """H(T,Y) of the joint table."""
-    return _share_terms(d)[0]
+    return _information_terms(d.joint, 1, d.row_marginal, d.col_marginal)[0]
 
 
 def cross_entropy(p: Sequence[float], q: Sequence[float]) -> float:
     """-sum p(z) log2 q(z); math.inf when some p(z) > 0 meets q(z) = 0."""
     _check_pair(p, q)
-    return _cross_entropy(p, q)
-
-
-def _cross_entropy(p, q, n=1) -> float:
-    """Unchecked H(p;q) of counts out of n, or of shares and n = 1."""
     total = 0.0
     for a, b in zip(p, q):
-        if a > 0:
-            if b == 0:
+        if a > 0.0:
+            if b == 0.0:
                 return math.inf
-            y = b / n
-            total -= a / n * (_log2_near(b, n) if y > _NEAR_LOW else math.log2(y))
+            total -= a * math.log2(b)
     return total
 
 

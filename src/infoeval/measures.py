@@ -37,11 +37,10 @@ from .infocore import (
     DivergenceKind,
     ExtendedValue,
     _cached,
-    _cross_entropy,
     _entropy,
     _information_terms,
     _Pair,
-    cross_entropy,  # no longer called here; perfbench/tests looks it up in this module
+    cross_entropy,
 )
 
 __all__ = [
@@ -305,24 +304,15 @@ class _Record(_Pair):
 
     @_cached
     def _terms(self) -> tuple[float, float, float]:
-        m = self.matrix
-        return _information_terms(m.counts, m.total, self.p, self.q, m.row_totals, m.column_totals)
+        return _information_terms(self.matrix.counts, self.matrix.total, self.p, self.q)
 
-    # the entropies from the integer totals, so that log2 of a share
-    # near 1 comes from an exact difference
-    h_t = _cached(lambda r: _entropy(r.matrix.row_totals, r.matrix.total))
-    h_y = _cached(lambda r: _entropy(r.matrix.column_totals, r.matrix.total))
+    h_t = _cached(lambda r: _entropy(r.p))
+    h_y = _cached(lambda r: _entropy(r.q))
     h_joint = _cached(lambda r: r._terms[0])
     i = _cached(lambda r: r._terms[1])
     i_m = _cached(lambda r: r._terms[2])
-
-    @_cached
-    def ce(self) -> tuple[float, float]:
-        """(H(T;Y), H(Y;T)) from the integer totals."""
-        m = self.matrix
-        t, y = (*m.row_totals, 0), m.column_totals
-        return _cross_entropy(t, y, m.total), _cross_entropy(y, t, m.total)
-
+    # (H(T;Y), H(Y;T))
+    ce = _cached(lambda r: (cross_entropy(r.p, r.q), cross_entropy(r.q, r.p)))
     perf = _cached(lambda r: performance_summary(r.matrix))
 
 

@@ -23,7 +23,7 @@ from infoeval.measures import InvariantViolation, _Record, _snap_unit
 
 _KERNELS = (
     (measures, "_information_terms"),
-    (measures, "_cross_entropy"),
+    (measures, "cross_entropy"),
     (measures, "performance_summary"),
     # the directed divergences that a _Pair keeps
     (infocore, "_kl"),
@@ -65,7 +65,7 @@ def test_full_catalog_computes_each_quantity_once(calls, rows):
     matrix = AugmentedConfusionMatrix.from_rows(rows)
     values = evaluate_all(matrix, CATALOG, strict=False)
     assert len(values) == len(CATALOG)
-    assert calls["_cross_entropy"] == 2  # H(T;Y) and H(Y;T)
+    assert calls["cross_entropy"] == 2  # H(T;Y) and H(Y;T)
     assert calls["_information_terms"] <= 1  # H(T,Y), I and I_M in one pass
     assert calls["performance_summary"] <= 1
     assert calls["distributions"] == 0  # the record reads the counts
@@ -77,7 +77,7 @@ def test_full_catalog_computes_each_quantity_once(calls, rows):
 def test_single_ni2_reads_only_what_it_needs(calls, rows):
     evaluate(MeasureId.NI2, AugmentedConfusionMatrix.from_rows(rows))
     assert calls["_information_terms"] == 1  # I_M
-    assert calls["_cross_entropy"] == 0
+    assert calls["cross_entropy"] == 0
     assert calls["performance_summary"] == 0
     assert calls["distributions"] == 0
     assert calls["_kl"] == calls["_chi_squared"] == 0
@@ -125,13 +125,8 @@ def small_matrices(draw):
     return AugmentedConfusionMatrix(rows)
 
 
-# raw NI1-NI9 of about -1.6e-33, and of 1.0000000000000002: both in the snap band.
-# The first table is one count from independence (F(39) F(41) - F(40)^2 = 1
-# for Fibonacci numbers); a table that is exactly independent gets I = 0.
-_SNAP_BAND = (
-    ((102334155, 63245986, 0), (165580141, 102334155, 0)),
-    ((12, 0, 0), (0, 50, 0)),
-)
+# raw NI1-NI9 of about -1.5e-16, and of 1.0000000000000002: both in the snap band
+_SNAP_BAND = (((70, 135, 0), (14, 27, 0)), ((12, 0, 0), (0, 50, 0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,17 +154,3 @@ def test_the_snap_band_examples_reach_the_band(rows, snapped):
     raw = MeasureId.NI1.formula(_Record(matrix))
     assert raw != snapped and abs(raw - snapped) < 1e-15
     assert evaluate(MeasureId.NI1, matrix).value == snapped
-
-
-# perfect classifiers where one class holds nearly every sample, so H(T)
-# and I are small; a float quotient near 1 put NI1 of the first at
-# 1 + 1.1e-9 (and the CLI exited 2), and of the others 1.0e-12 and
-# 1.7e-12 below 1
-@pytest.mark.parametrize("rows", [
-    ((2**27, 0, 0), (0, 1, 0)),
-    ((0, 301193, 0), (1, 0, 0)),
-    ((0, 182409, 0), (1, 0, 0)),
-])
-def test_dominant_class_perfect_classifier_reads_exactly_one(rows):
-    record = _Record(AugmentedConfusionMatrix(rows))
-    assert [MeasureId(f"NI{k}").formula(record) for k in range(1, 10)] == [1.0] * 9
