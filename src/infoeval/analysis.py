@@ -117,6 +117,16 @@ def _rejection(c, d, n):
     return d / n * math.log2(c / n)
 
 
+def _checked(cost, formula, total, d, n) -> float:
+    # the guard and float-range wrapper of both public costs, named by ``cost``
+    if not (0 < total < math.inf and 0 < d < math.inf and 0 < n < math.inf):
+        raise ValueError(f"{cost.__name__} needs positive finite arguments")
+    try:
+        return formula(total, d, n)
+    except (OverflowError, ValueError) as exc:
+        raise _out_of_range(cost, (total, d, n), exc) from None
+
+
 def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     """Modified-MI change when d samples wrongly join a pure column.
 
@@ -124,12 +134,7 @@ def misclassification_cost(receiving_total: float, d: float, n: float) -> float:
     class.  Continuous in all arguments; negative on the whole domain,
     where every argument is positive and finite.
     """
-    if not (0 < receiving_total < math.inf and 0 < d < math.inf and 0 < n < math.inf):
-        raise ValueError("misclassification_cost needs positive finite arguments")
-    try:
-        return _misclassification(receiving_total, d, n)
-    except (OverflowError, ValueError) as exc:
-        raise _out_of_range(misclassification_cost, (receiving_total, d, n), exc) from None
+    return _checked(misclassification_cost, _misclassification, receiving_total, d, n)
 
 
 def rejection_cost(class_total: float, d: float, n: float) -> float:
@@ -138,12 +143,7 @@ def rejection_cost(class_total: float, d: float, n: float) -> float:
     ``class_total`` is the rejected samples' own class total.  Every
     argument must be positive and finite.
     """
-    if not (0 < class_total < math.inf and 0 < d < math.inf and 0 < n < math.inf):
-        raise ValueError("rejection_cost needs positive finite arguments")
-    try:
-        return _rejection(class_total, d, n)
-    except (OverflowError, ValueError) as exc:
-        raise _out_of_range(rejection_cost, (class_total, d, n), exc) from None
+    return _checked(rejection_cost, _rejection, class_total, d, n)
 
 
 def _departure_cost(kind: CanonicalKind, totals, d, n) -> float:
@@ -300,20 +300,6 @@ def crossover_omega(n: int, d: int) -> float:
     return crossover_analysis(n, d).omega
 
 
-_BELOW_OMEGA = (
-    CanonicalKind.LARGE_CLASS_REJECT,
-    CanonicalKind.SMALL_CLASS_REJECT,
-    CanonicalKind.LARGE_CLASS_ERROR,
-    CanonicalKind.SMALL_CLASS_ERROR,
-)
-_ABOVE_OMEGA = (
-    CanonicalKind.LARGE_CLASS_REJECT,
-    CanonicalKind.LARGE_CLASS_ERROR,
-    CanonicalKind.SMALL_CLASS_REJECT,
-    CanonicalKind.SMALL_CLASS_ERROR,
-)
-
-
 class CanonicalRanking(namedtuple("CanonicalRanking", "models ni2 observed predicted p1 omega")):
     models: tuple[CanonicalModel, ...]
     ni2: dict[CanonicalKind, float]
@@ -346,7 +332,10 @@ def rank_canonical(c1: int, c2: int, d: int) -> CanonicalRanking:
     observed = tuple(sorted(ni2, key=lambda kind: ni2[kind], reverse=True))
     # models follow CanonicalKind: the large-class error, then the small-class reject
     large_error, small_reject = (delta_I(model) for model in models[1:3])
-    predicted = _BELOW_OMEGA if large_error < small_reject else _ABOVE_OMEGA
+    middle = models[2:0:-1] if large_error < small_reject else models[1:3]
+    # the large-class reject is always best and the small-class error worst
+    predicted = (CanonicalKind.LARGE_CLASS_REJECT, *(model.kind for model in middle),
+                 CanonicalKind.SMALL_CLASS_ERROR)
     p1, omega = c1 / (c1 + c2), crossover_omega(c1 + c2, d)
     return CanonicalRanking(models, ni2, observed, predicted, p1, omega)
 

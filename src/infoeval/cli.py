@@ -231,10 +231,12 @@ def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> s
         writer.writerow(header)
         writer.writerows(cells)
         return buffer.getvalue()
-    # a "|" inside a cell would end it; GitHub-flavoured markdown reads "\|"
+    # a "|" would end the cell and a line break the row: GitHub-flavoured
+    # markdown reads "\|" and "<br>" ("." keeps a break at a cell's end)
     table = [header, ["---"] * len(header), *cells]
     return "".join(
-        "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |\n"
+        "| " + " | ".join("<br>".join((cell + ".").splitlines())[:-1].replace("|", "\\|")
+                          for cell in row) + " |\n"
         for row in table
     )
 

@@ -13,6 +13,9 @@
   one predicted column, a cross entropy near 0 or infinite, an empty
   predicted class, no error); the file is not a bundled fixture.
 
+``run`` calls ``cli.main`` in-process and returns its exit code, stdout
+and stderr; the tests make every captured in-process call through it.
+
 ``tests/test_golden.py`` runs the same table under pytest.  Check every
 golden with the standard library alone, on any interpreter::
 
@@ -71,14 +74,28 @@ GOLDENS = {
 }
 
 
+def run(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process ``infoeval`` run.
+
+    argparse ends ``--help``, ``--version`` and a usage error in
+    SystemExit; its code is the status ``python -m infoeval.cli`` exits
+    with.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def output(argv) -> str:
     """The stdout of one ``infoeval`` run, which must exit 0."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(list(argv))
+    code, out, err = run(*argv)
     if code != 0:
-        raise RuntimeError(f"exit {code}: {err.getvalue().strip()}")
-    return out.getvalue()
+        raise RuntimeError(f"exit {code}: {err.strip()}")
+    return out
 
 
 def mismatches() -> list[str]:

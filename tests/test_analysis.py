@@ -14,6 +14,7 @@ from infoeval import (
     BinaryConfusion,
     CanonicalKind,
     CanonicalModel,
+    InvariantViolation,
     MeasureId,
     classify_canonical,
     evaluate,
@@ -474,7 +475,54 @@ class TestCrossoverAgainstExactRoot:
         assert rank_canonical(c1, c2, d).consistent
 
 
+def exact_costs(c1, c2, d):
+    """The four closed-form costs in KINDS order, times n ln 2, to 200 digits.
+
+    For n < 2**200, x/(x+d) spends up to 60 digits on its distance from
+    1, and the two error costs differ by about d (c1 - c2) / c2, at
+    least about 1e-60; 200 digits order them with a wide margin.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 200
+        c1, c2, d = Decimal(c1), Decimal(c2), Decimal(d)
+        n = c1 + c2
+
+        def error(x):  # d samples join the pure column that holds x
+            return x * (x / (x + d)).ln() + d * (d / (x + d)).ln()
+
+        return error(c1), error(c2), d * (c2 / n).ln(), d * (c1 / n).ln()
+
+
+@st.composite
+def canonical_splits(draw):
+    """c1 > c2 > d > 0 with n below 2**200, each step log-uniform."""
+    step = st.integers(0, 197).flatmap(lambda bits: st.integers(1, 2**bits))
+    d = draw(step)
+    c2 = d + draw(step)
+    return c2 + draw(step), c2, d
+
+
 class TestRankCanonical:
+    # Two known defects are allowed until they are fixed.  Past
+    # c2 = 2**20 d, x/(x+d) in the large-class error's cost loses digits
+    # and can flip the predicted middle pair (ROADMAP direction 3), e.g.
+    # at (300529762112708775511086586914128403480289049413691,
+    # 47507377612621719000160933907897, 17037586581893).
+    # From a total of 2**26 on, a near-degenerate quad can put NI2
+    # outside [0, 1], and the ranking raises (direction 4).
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_splits())
+    def test_predicted_is_the_exact_cost_order(self, split):
+        c1, c2, d = split
+        try:
+            ranking = rank_canonical(c1, c2, d)
+        except InvariantViolation:
+            assert c1 + c2 >= 2**26, split
+            return
+        costs = dict(zip(KINDS, exact_costs(c1, c2, d)))
+        exact = tuple(sorted(costs, key=costs.get, reverse=True))
+        assert ranking.predicted == exact or c2 > 2**20 * d, split
+
     def test_below_crossover(self):
         ranking = rank_canonical(94, 6, 1)
         assert ranking.p1 == pytest.approx(0.94)

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from goldens import run
 
 import infoeval.cli as cli
 import infoeval.measures as measures
@@ -23,24 +24,9 @@ RAW_ALL = ("--measures", "all", "--format", "json", "--precision", "raw")
 GOLDEN_BINARY = Path(__file__).parent / "golden" / "eval_binary_models.json"
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def usage_error(capsys, *argv):
-    with pytest.raises(SystemExit) as info:
-        main(list(argv))
-    captured = capsys.readouterr()
-    return info.value.code, captured.out, captured.err
-
-
 class TestEval:
-    def test_markdown_golden(self, capsys):
-        code, out, err = run_cli(
-            capsys, "eval", "reject_tradeoff", "--measure", "NI2"
-        )
+    def test_markdown_golden(self):
+        code, out, err = run("eval", "reject_tradeoff", "--measure", "NI2")
         assert code == 0
         assert err == ""
         assert out == (
@@ -50,10 +36,8 @@ class TestEval:
             "| C_E | 0.393 |\n"
         )
 
-    def test_singular_prints_as_s(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "binary_models", "--measures", "NI20"
-        )
+    def test_singular_prints_as_s(self):
+        code, out, _ = run("eval", "binary_models", "--measures", "NI20")
         assert code == 0
         assert "| M3 | S |" in out
         assert "| M6 | S |" in out
@@ -66,11 +50,9 @@ class TestEval:
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli._singular_as_s(value)
 
-    def test_json_round_trips_at_emitted_precision(self, capsys, binary_models):
-        code, out, _ = run_cli(
-            capsys, "eval", "binary_models", "--measures", "all",
-            "--format", "json", "--round", "3",
-        )
+    def test_json_round_trips_at_emitted_precision(self, binary_models):
+        code, out, _ = run("eval", "binary_models", "--measures", "all", "--format", "json",
+                           "--round", "3")
         assert code == 0
         payload = json.loads(out)
         assert [entry["name"] for entry in payload] == list(binary_models)
@@ -83,11 +65,9 @@ class TestEval:
                 else:
                     assert emitted == round(value, 3)
 
-    def test_csv_round_trips_at_emitted_precision(self, capsys, binary_models):
-        code, out, _ = run_cli(
-            capsys, "eval", "binary_models", "--measures", "mi",
-            "--format", "csv", "--round", "4",
-        )
+    def test_csv_round_trips_at_emitted_precision(self, binary_models):
+        code, out, _ = run("eval", "binary_models", "--measures", "mi", "--format", "csv",
+                           "--round", "4")
         assert code == 0
         header, *rows = list(csv.reader(io.StringIO(out)))
         assert header == ["model"] + [f"NI{k}" for k in range(1, 10)]
@@ -97,21 +77,17 @@ class TestEval:
                 value = evaluate(MeasureId.from_token(token), matrix).value
                 assert float(cell) == round(value, 4)
 
-    def test_raw_precision_round_trips_exactly(self, capsys, binary_models):
-        code, out, _ = run_cli(
-            capsys, "eval", "binary_models", "--measures", "NI2",
-            "--precision", "raw", "--format", "csv",
-        )
+    def test_raw_precision_round_trips_exactly(self, binary_models):
+        code, out, _ = run("eval", "binary_models", "--measures", "NI2", "--precision", "raw",
+                           "--format", "csv")
         assert code == 0
         _, *rows = list(csv.reader(io.StringIO(out)))
         for name, cell in rows:
             assert float(cell) == evaluate(MeasureId.NI2, binary_models[name]).value
 
-    def test_binary_only_measures_blank_for_three_classes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "three_class_models", "--measures", "performance",
-            "--format", "json",
-        )
+    def test_binary_only_measures_blank_for_three_classes(self):
+        code, out, _ = run("eval", "three_class_models", "--measures", "performance",
+                           "--format", "json")
         assert code == 0
         payload = json.loads(out)
         for entry in payload:
@@ -119,24 +95,22 @@ class TestEval:
             assert entry["measures"]["F1"] is None
             assert entry["measures"]["CR"] is not None
 
-    def test_multiple_inputs_and_global_default_names(self, capsys, tmp_path):
+    def test_multiple_inputs_and_global_default_names(self, tmp_path):
         one = tmp_path / "one.json"
         one.write_text(json.dumps([[[8, 1], [1, 8]], [[9, 0], [0, 9]]]))
         two = tmp_path / "two.json"
         two.write_text(json.dumps({"name": "mine", "matrix": [[7, 2], [2, 7]]}))
-        code, out, _ = run_cli(
-            capsys, "eval", str(one), str(two), "--measures", "NI1"
-        )
+        code, out, _ = run("eval", str(one), str(two), "--measures", "NI1")
         assert code == 0
         lines = out.splitlines()
         assert lines[2].startswith("| M1 |")
         assert lines[3].startswith("| M2 |")
         assert lines[4].startswith("| mine |")
 
-    def test_csv_input(self, capsys, tmp_path):
+    def test_csv_input(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("pred_1, pred_2, reject\n90, 0, 0\n1, 9, 0\n")
-        code, out, _ = run_cli(capsys, "eval", str(path), "--measures", "NI2")
+        code, out, _ = run("eval", str(path), "--measures", "NI2")
         assert code == 0
         assert "| M1 | 0.831 |" in out
 
@@ -147,18 +121,17 @@ class TestAllRejectMatrix:
         path.write_text(json.dumps([[[0, 0, 5], [0, 0, 5]], [[4, 0, 1], [1, 4, 0]]]))
         return str(path)
 
-    def test_eval_performance(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "eval", self._write(tmp_path),
-                                 "--measures", "perf", "--format", "json")
+    def test_eval_performance(self, tmp_path):
+        code, out, err = run("eval", self._write(tmp_path), "--measures", "perf",
+                             "--format", "json")
         assert (code, err) == (0, "")
         rates = json.loads(out)[0]["measures"]
         assert rates["A"] == 0.0
         assert rates["E"] == 0.0
         assert rates["Rej"] == 1.0
 
-    def test_rank_accuracy(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "rank", self._write(tmp_path),
-                                 "--measures", "A", "--format", "json")
+    def test_rank_accuracy(self, tmp_path):
+        code, out, err = run("rank", self._write(tmp_path), "--measures", "A", "--format", "json")
         assert (code, err) == (0, "")
         (ranking,) = json.loads(out)["rankings"]
         assert [(e["value"], e["letter"]) for e in ranking["models"]] == [
@@ -167,11 +140,9 @@ class TestAllRejectMatrix:
 
 
 class TestRank:
-    def test_measure_singular_for_every_model_is_ungraded(self, capsys):
-        code, out, err = run_cli(
-            capsys, "rank", "reject_tradeoff", "--measures", "information",
-            "--format", "json",
-        )
+    def test_measure_singular_for_every_model_is_ungraded(self):
+        code, out, err = run("rank", "reject_tradeoff", "--measures", "information",
+                             "--format", "json")
         assert (code, err) == (0, "")
         rankings = {r["measure"]: r["models"] for r in json.loads(out)["rankings"]}
         assert len(rankings) == 24
@@ -181,42 +152,33 @@ class TestRank:
             ]
         assert [e["letter"] for e in rankings["NI2"]] == ["A", "B"]
 
-    def test_markdown_sections(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rank", "binary_models", "--measures", "NI2,NI3"
-        )
+    def test_markdown_sections(self):
+        code, out, _ = run("rank", "binary_models", "--measures", "NI2,NI3")
         assert code == 0
         assert out.startswith("## NI2\n")
         assert "## NI3" in out
         assert "| M4 | 0.997 | A |" in out
 
-    def test_default_measure_is_ni2(self, capsys):
-        code, out, _ = run_cli(capsys, "rank", "binary_models")
+    def test_default_measure_is_ni2(self):
+        code, out, _ = run("rank", "binary_models")
         assert code == 0
         assert out.startswith("## NI2\n")
         assert "## NI1" not in out
 
-    def test_singular_has_empty_letter(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rank", "binary_models", "--measures", "NI20"
-        )
+    def test_singular_has_empty_letter(self):
+        code, out, _ = run("rank", "binary_models", "--measures", "NI20")
         assert code == 0
         assert "| M6 | S |  |" in out
 
-    def test_csv_long_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rank", "binary_models", "--measures", "NI2",
-            "--format", "csv",
-        )
+    def test_csv_long_format(self):
+        code, out, _ = run("rank", "binary_models", "--measures", "NI2", "--format", "csv")
         assert code == 0
         header, *rows = list(csv.reader(io.StringIO(out)))
         assert header == ["measure", "model", "value", "letter"]
         assert rows[0] == ["NI2", "M1", "0.831", "D"]
 
-    def test_json_letters(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rank", "three_class_models", "--format", "json"
-        )
+    def test_json_letters(self):
+        code, out, _ = run("rank", "three_class_models", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["rounding"] == 3
@@ -226,10 +188,8 @@ class TestRank:
 
 
 class TestTheorems:
-    def test_json_records(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "theorems", "binary_models", "--format", "json"
-        )
+    def test_json_records(self):
+        code, out, _ = run("theorems", "binary_models", "--format", "json")
         assert code == 0
         records = {entry["name"]: entry for entry in json.loads(out)}
         assert records["M5"]["mi_local_minimum"] is True
@@ -243,8 +203,8 @@ class TestTheorems:
         assert m1["consistent"] is True
         assert m1["predicted_order"][0] == "large-class-reject"
 
-    def test_markdown_table(self, capsys):
-        code, out, _ = run_cli(capsys, "theorems", "binary_models")
+    def test_markdown_table(self):
+        code, out, _ = run("theorems", "binary_models")
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("| model | mi_local_minimum |")
@@ -252,25 +212,19 @@ class TestTheorems:
 
 
 class TestOmegaAndSweep:
-    def test_omega_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "omega", "--n", "100", "--d", "1", "--format", "json"
-        )
+    def test_omega_json(self):
+        code, out, _ = run("omega", "--n", "100", "--d", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload == {"n": 100, "d": 1, "omega": 0.942, "sign_changes": 1}
 
-    def test_omega_markdown(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "omega", "--n", "100", "--d", "2", "--round", "4"
-        )
+    def test_omega_markdown(self):
+        code, out, _ = run("omega", "--n", "100", "--d", "2", "--round", "4")
         assert code == 0
         assert "| 100 | 2 | 0.9190 | 1 |" in out
 
-    def test_sweep_grid(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--n", "100", "--d", "1", "--format", "json"
-        )
+    def test_sweep_grid(self):
+        code, out, _ = run("sweep", "--n", "100", "--d", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         shares = [point["p1"] for point in payload["points"]]
@@ -278,40 +232,38 @@ class TestOmegaAndSweep:
         for point in payload["points"]:
             assert point["small_class_error"] < point["large_class_error"] < 0
 
-    def test_sweep_step_too_large(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--d", "1",
-                                 "--step", "0.6")
+    def test_sweep_step_too_large(self):
+        code, out, err = run("sweep", "--n", "100", "--d", "1", "--step", "0.6")
         assert code == 1
         assert "no grid points" in err
 
-    def test_sweep_stops_where_the_small_class_holds_d(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--n", "100", "--d", "10", "--format", "json")
+    def test_sweep_stops_where_the_small_class_holds_d(self):
+        code, out, _ = run("sweep", "--n", "100", "--d", "10", "--format", "json")
         assert code == 0
         shares = [point["p1"] for point in json.loads(out)["points"]]
         assert shares == [round(0.5 + k * 0.05, 3) for k in range(1, 9)]  # up to 0.9, c2 = d
-        code, out, _ = run_cli(capsys, "sweep", "--n", "100", "--d", "1", "--step", "0.01",
-                               "--format", "json")
+        code, out, _ = run("sweep", "--n", "100", "--d", "1", "--step", "0.01", "--format", "json")
         assert code == 0
         shares = [point["p1"] for point in json.loads(out)["points"]]
         assert len(shares) == 49 and shares[-1] == 0.99
 
-    def test_sweep_without_a_model_exits_1(self, capsys):
+    def test_sweep_without_a_model_exits_1(self):
         # c2 = 10 < d at p1 = 0.9, the only grid point
-        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--d", "40", "--step", "0.2")
+        code, out, err = run("sweep", "--n", "100", "--d", "40", "--step", "0.2")
         assert (code, out) == (1, "")
         assert err == ("error: step 0.2 leaves no grid points inside (0.5, 1) "
                        "where the small class holds d = 40 samples\n")
 
-    def test_omega_bad_domain(self, capsys):
-        code, _, err = run_cli(capsys, "omega", "--n", "10", "--d", "5")
+    def test_omega_bad_domain(self):
+        code, _, err = run("omega", "--n", "10", "--d", "5")
         assert code == 1
         assert "n > 2d" in err
 
     @pytest.mark.parametrize("n, d", [(2, 1), (1, 5), (2**255 - 1, 2**255 - 1)],
                              ids=["n=2d", "n<d", "n=d=2**255-1"])
-    def test_sweep_needs_n_above_2d(self, capsys, n, d):
+    def test_sweep_needs_n_above_2d(self, n, d):
         # with n <= 2d every grid point moves more samples than c2 holds
-        code, out, err = run_cli(capsys, "sweep", "--n", str(n), "--d", str(d))
+        code, out, err = run("sweep", "--n", str(n), "--d", str(d))
         assert (code, out, err) == (1, "", f"error: need n > 2d > 0, got n={n}, d={d}\n")
 
     @pytest.mark.parametrize("command", ["omega", "sweep"])
@@ -320,19 +272,19 @@ class TestOmegaAndSweep:
         (2**255, 1, f"need n below 2**255, got n={2**255}"),
         (2**255 - 1, 2**255, f"need n > 2d > 0, got n={2**255 - 1}, d={2**255}"),
     ], ids=["n=1e400", "n=2**255", "d=2**255"])
-    def test_counts_must_be_below_2_to_the_255(self, capsys, command, n, d, message):
+    def test_counts_must_be_below_2_to_the_255(self, command, n, d, message):
         # a larger int does not convert to a float inside the cost formulas
-        code, out, err = run_cli(capsys, command, "--n", str(n), "--d", str(d))
+        code, out, err = run(command, "--n", str(n), "--d", str(d))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_largest_counts_still_compute(self, capsys):
+    def test_largest_counts_still_compute(self):
         big = str(2**255 - 1)
-        assert run_cli(capsys, "sweep", "--n", big, "--d", str(2**253), "--step", "0.2")[0] == 0
-        assert run_cli(capsys, "omega", "--n", big, "--d", str(2**253))[0] == 0
+        assert run("sweep", "--n", big, "--d", str(2**253), "--step", "0.2")[0] == 0
+        assert run("omega", "--n", big, "--d", str(2**253))[0] == 0
 
-    def test_tiny_step_fails_before_building_a_grid(self, capsys):
+    def test_tiny_step_fails_before_building_a_grid(self):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--d", "1", "--step", "1e-9")
+        code, out, err = run("sweep", "--n", "100", "--d", "1", "--step", "1e-9")
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (1, "")
         assert err == ("error: step must be at least 5e-06 (at most 100000 grid points), "
@@ -340,22 +292,21 @@ class TestOmegaAndSweep:
 
 
 class TestErrorsAndExitCodes:
-    def test_missing_input(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "nowhere.json")
+    def test_missing_input(self):
+        code, out, err = run("eval", "nowhere.json")
         assert code == 1
         assert "no such file" in err
         assert out == ""
 
-    def test_unknown_measure(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "binary_models",
-                               "--measures", "NI99")
+    def test_unknown_measure(self):
+        code, _, err = run("eval", "binary_models", "--measures", "NI99")
         assert code == 1
         assert "unknown measure" in err
 
-    def test_malformed_json_file(self, capsys, tmp_path):
+    def test_malformed_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[[1, 2,\n")
-        code, _, err = run_cli(capsys, "eval", str(bad))
+        code, _, err = run("eval", str(bad))
         assert code == 1
         assert "malformed JSON" in err
 
@@ -365,38 +316,38 @@ class TestErrorsAndExitCodes:
         (f"[[{10**164}, 1, 0], [1, 1, 0]]", f"total count {10**164 + 3} is too large"),
         (f"[[{10**330}, 1, 0], [1, 1, 0]]", f"total count {10**330 + 3} is too large"),
     ], ids=["nested", "1e164", "1e330"])
-    def test_input_beyond_float_range(self, capsys, tmp_path, command, text, message):
+    def test_input_beyond_float_range(self, tmp_path, command, text, message):
         path = tmp_path / "big.json"
         path.write_text(text)
-        code, out, err = run_cli(capsys, command, str(path))
+        code, out, err = run(command, str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: {message}")
 
-    def test_binary_only_measure_names_the_model(self, capsys):
-        code, out, err = run_cli(capsys, "rank", "three_class_models", "--measures", "F1")
+    def test_binary_only_measure_names_the_model(self):
+        code, out, err = run("rank", "three_class_models", "--measures", "F1")
         assert (code, out) == (1, "")
         assert err == (
             "error: F1 needs a 2-class matrix, got 3 classes"
             " in model 'M7', counts [[80, 0, 0, 0], [0, 15, 0, 0], [1, 0, 4, 0]]\n"
         )
 
-    def test_rank_needs_two_models(self, capsys, tmp_path):
+    def test_rank_needs_two_models(self, tmp_path):
         single = tmp_path / "single.json"
         single.write_text("[[9, 0], [0, 9]]")
-        code, _, err = run_cli(capsys, "rank", str(single))
+        code, _, err = run("rank", str(single))
         assert code == 1
         assert "at least 2 models" in err
 
-    def test_invariant_violation_exits_2(self, capsys, monkeypatch):
+    def test_invariant_violation_exits_2(self, monkeypatch):
         def explode(*args, **kwargs):
             raise InvariantViolation("NI1 = 1.5 is outside [0, 1]")
 
         monkeypatch.setattr(cli, "evaluate_all", explode)
-        code, _, err = run_cli(capsys, "eval", "binary_models")
+        code, _, err = run("eval", "binary_models")
         assert code == 2
         assert "invariant violation" in err
 
-    def test_invariant_violation_names_the_model(self, capsys, monkeypatch, tmp_path):
+    def test_invariant_violation_names_the_model(self, monkeypatch, tmp_path):
         # the second model gets I = 5 bits over H(T) = 1 bit, so NI1 = 5
         calls = []
 
@@ -410,7 +361,7 @@ class TestErrorsAndExitCodes:
         batch = tmp_path / "batch.json"
         batch.write_text('[{"name": "first", "matrix": [[9, 1], [2, 8]]},'
                          ' {"name": "second", "matrix": [[7, 3, 1], [0, 9, 2]]}]')
-        code, out, err = run_cli(capsys, "eval", str(batch), "--measures", "NI1")
+        code, out, err = run("eval", str(batch), "--measures", "NI1")
         assert (code, out) == (2, "")
         assert err == (
             "invariant violation: NI1 = 5.0 is outside [0, 1]"
@@ -424,17 +375,16 @@ class TestErrorsAndExitCodes:
         (("sweep", "--n", "100", "--d", "1", "--step", "zz"),
          "--step: invalid float value: 'zz'"),
     ], ids=["round", "n", "d", "step"])
-    def test_conversion_errors_exit_1(self, capsys, argv, message):
-        code, out, err = usage_error(capsys, *argv)
+    def test_conversion_errors_exit_1(self, argv, message):
+        code, out, err = run(*argv)
         assert (code, out) == (1, "")
         assert err.endswith(f"error: argument {message}\n")
 
     @pytest.mark.parametrize("digits, cell", [
         ("0", "| M1 | 1 |"), ("12", "| M1 | 0.830648012540 |"),
     ], ids=["0", "12"])
-    def test_round_accepts_0_to_12(self, capsys, digits, cell):
-        code, out, err = run_cli(capsys, "eval", "binary_models", "--measures", "NI2",
-                                 "--round", digits)
+    def test_round_accepts_0_to_12(self, digits, cell):
+        code, out, err = run("eval", "binary_models", "--measures", "NI2", "--round", digits)
         assert (code, err) == (0, "")
         assert cell in out.splitlines()
 
@@ -512,15 +462,15 @@ class TestDeterminism:
         ("theorems", "binary_models", "--format", "json"),
         ("sweep", "--n", "100", "--d", "1", "--format", "csv"),
     ])
-    def test_reruns_are_byte_identical(self, capsys, argv):
-        code_a, out_a, _ = run_cli(capsys, *argv)
-        code_b, out_b, _ = run_cli(capsys, *argv)
+    def test_reruns_are_byte_identical(self, argv):
+        code_a, out_a, _ = run(*argv)
+        code_b, out_b, _ = run(*argv)
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_console_script_matches_in_process(self, capsys):
+    def test_console_script_matches_in_process(self):
         argv = ["eval", "binary_models", "--measures", "all"]
-        _, out, _ = run_cli(capsys, *argv)
+        _, out, _ = run(*argv)
         result = subprocess.run(
             [sys.executable, "-m", "infoeval.cli", *argv],
             capture_output=True, text=True, check=True,
@@ -534,13 +484,12 @@ class TestInputEncoding:
         (".json", '[{"name": "café", "matrix": [[90, 3, 2], [1, 8, 1]]}]'),
     ], ids=["csv", "json"])
     @pytest.mark.parametrize("command", ["eval", "rank", "theorems"])
-    def test_utf8_with_and_without_byte_order_mark(self, capsys, tmp_path, suffix, text,
-                                                    command):
+    def test_utf8_with_and_without_byte_order_mark(self, tmp_path, suffix, text, command):
         outputs = []
         for name, prefix in (("plain", ""), ("bom", "\ufeff")):
             path = tmp_path / f"{name}{suffix}"
             path.write_bytes((prefix + text).encode("utf-8"))
-            outputs.append(run_cli(capsys, command, str(path), str(path)))
+            outputs.append(run(command, str(path), str(path)))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
 
@@ -551,42 +500,59 @@ class TestMarkdownEscape:
         ("rank", "| a\\|b | 0.561 | A |"),
         ("theorems", "| a\\|b | false |  | false |  |  |  |  |  |  |  |  |"),
     ], ids=["eval", "rank", "theorems"])
-    def test_pipe_in_a_name_is_escaped(self, capsys, tmp_path, command, row):
+    def test_pipe_in_a_name_is_escaped(self, tmp_path, command, row):
         path = tmp_path / "pipe.json"
         path.write_text(json.dumps([
             {"name": "a|b", "matrix": [[90, 3, 2], [1, 8, 1]]},
             {"name": "c", "matrix": [[80, 3, 2], [1, 8, 1]]},
         ]))
         extra = [] if command == "theorems" else ["--measures", "NI2"]
-        code, out, _ = run_cli(capsys, command, str(path), *extra)
+        code, out, _ = run(command, str(path), *extra)
         assert code == 0
         assert row in out.splitlines()
         # a reader splits cells at each "|" that is not escaped
         table = [line for line in out.splitlines() if line.startswith("|")]
         assert len({len(re.findall(r"(?<!\\)\|", line)) for line in table}) == 1
 
-    def test_csv_and_json_keep_the_pipe(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "rank", "theorems"])
+    def test_line_break_in_a_name_prints_as_br(self, tmp_path, command):
+        names = ["a\nb", "c\rd", "e\r\nf", "g\vh\x85i\u2028", "j|k\n"]
+        path = tmp_path / "breaks.json"
+        path.write_text(json.dumps([
+            {"name": name, "matrix": [[90 - k, 3, 2], [1, 8, 1]]} for k, name in enumerate(names)
+        ]))
+        extra = [] if command == "theorems" else ["--measures", "NI2"]
+        code, out, _ = run(command, str(path), *extra)
+        assert code == 0
+        # "\n" ends each line, and no other line boundary is left
+        lines = out.split("\n")[:-1]
+        assert out.splitlines() == lines
+        table = [line for line in lines if line.startswith("|")]
+        assert [line.split(" | ")[0] for line in table[2:]] == [
+            "| a<br>b", "| c<br>d", "| e<br>f", "| g<br>h<br>i<br>", "| j\\|k<br>",
+        ]
+        assert len({len(re.findall(r"(?<!\\)\|", line)) for line in table}) == 1
+
+    def test_csv_and_json_keep_the_pipe(self, tmp_path):
         path = tmp_path / "pipe.json"
         path.write_text(json.dumps([{"name": "a|b", "matrix": [[90, 3, 2], [1, 8, 1]]}]))
-        _, out, _ = run_cli(capsys, "eval", str(path), "--measures", "NI2", "--format", "csv")
+        _, out, _ = run("eval", str(path), "--measures", "NI2", "--format", "csv")
         assert out == "model,NI2\na|b,0.561\n"
-        _, out, _ = run_cli(capsys, "eval", str(path), "--measures", "NI2", "--format", "json")
+        _, out, _ = run("eval", str(path), "--measures", "NI2", "--format", "json")
         assert json.loads(out)[0]["name"] == "a|b"
 
 
 class TestFixtureResolution:
-    def test_stem_with_suffix(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "binary_models.json", "--measures", "NI1"
-        )
+    def test_stem_with_suffix(self):
+        code, out, _ = run("eval", "binary_models.json", "--measures", "NI1")
         assert code == 0
         assert "| M1 |" in out
 
-    def test_environment_override(self, capsys, tmp_path, monkeypatch):
+    def test_environment_override(self, tmp_path, monkeypatch):
         custom = tmp_path / "mine.json"
         custom.write_text(json.dumps([{"name": "Q", "matrix": [[3, 1], [1, 3]]}]))
         monkeypatch.setenv("INFOEVAL_FIXTURES", str(tmp_path))
-        code, out, _ = run_cli(capsys, "eval", "mine", "--measures", "NI1")
+        code, out, _ = run("eval", "mine", "--measures", "NI1")
         assert code == 0
         assert "| Q |" in out
 
@@ -599,7 +565,7 @@ class TestFixtureResolution:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == GOLDEN_BINARY.read_text()
 
-    def test_named_pipe(self, capsys, tmp_path):
+    def test_named_pipe(self, tmp_path):
         fifo = tmp_path / "models"
         os.mkfifo(fifo)
         text = fixtures.resolve("binary_models").read_text()
@@ -610,30 +576,30 @@ class TestFixtureResolution:
 
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-        code, out, err = run_cli(capsys, "eval", str(fifo), *RAW_ALL)
+        code, out, err = run("eval", str(fifo), *RAW_ALL)
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert (code, err) == (0, "")
         assert out == GOLDEN_BINARY.read_text()
 
-    def test_directory_and_device_are_not_inputs(self, capsys, tmp_path):
+    def test_directory_and_device_are_not_inputs(self, tmp_path):
         # a device is not read: /dev/zero or /dev/urandom would never end
         for name in (str(tmp_path), os.devnull):
-            code, out, err = run_cli(capsys, "eval", name)
+            code, out, err = run("eval", name)
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {name}: no such file or bundled fixture; available: ")
 
 
 class TestCrossoverAtFourD:
-    def test_omega_exits_0(self, capsys):
-        code, out, err = run_cli(capsys, "omega", "--n", "8", "--d", "2",
-                                 "--format", "json", "--precision", "raw")
+    def test_omega_exits_0(self):
+        code, out, err = run("omega", "--n", "8", "--d", "2",
+                             "--format", "json", "--precision", "raw")
         assert code == 0, err
         payload = json.loads(out)
         assert payload["sign_changes"] == 1
         assert payload["omega"] == pytest.approx(0.75, abs=1e-9)
 
-    def test_theorems_on_quad_exits_0(self, capsys, tmp_path):
+    def test_theorems_on_quad_exits_0(self, tmp_path):
         quad = tmp_path / "quad.json"
         quad.write_text(json.dumps([
             [[35, 25, 0], [0, 40, 0]],
@@ -641,7 +607,7 @@ class TestCrossoverAtFourD:
             [[60, 0, 0], [0, 15, 25]],
             [[35, 0, 25], [0, 40, 0]],
         ]))
-        code, out, err = run_cli(capsys, "theorems", str(quad), "--format", "json")
+        code, out, err = run("theorems", str(quad), "--format", "json")
         assert code == 0, err
         records = json.loads(out)
         assert all(r["canonical"]["consistent"] for r in records)
@@ -652,26 +618,25 @@ class TestCrossoverAtFourD:
 
 
 class TestCrossoverNearTheScanEnd:
-    def test_theorems_on_quad_is_consistent(self, capsys, tmp_path):
+    def test_theorems_on_quad_is_consistent(self, tmp_path):
         # p1 = 0.99999806 lies 2.2e-8 below omega = 0.99999808198
         quad = tmp_path / "quad.json"
         quad.write_text(json.dumps([
             CanonicalModel(kind, 10**11 - 194000, 194000, 1).matrix().counts
             for kind in CanonicalKind
         ]))
-        code, out, err = run_cli(capsys, "theorems", str(quad), "--format", "json")
+        code, out, err = run("theorems", str(quad), "--format", "json")
         assert code == 0, err
         records = json.loads(out)
         assert len(records) == 4
         assert all(r["canonical"]["consistent"] for r in records)
 
 
-def canonical_record(capsys, tmp_path, rows):
+def canonical_record(tmp_path, rows):
     """``theorems``' canonical block for one matrix; the call must exit 0."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(rows))
-    code, out, err = run_cli(capsys, "theorems", str(path), "--format", "json",
-                             "--precision", "raw")
+    code, out, err = run("theorems", str(path), "--format", "json", "--precision", "raw")
     assert (code, err) == (0, "")
     (record,) = json.loads(out)
     return record["canonical"]
@@ -684,17 +649,16 @@ class TestCrossoverPastTheScanEnd:
         [[300000000000, 1, 0], [0, 100000000000, 0]],
         [[1152921504606846975, 1, 0], [0, 576460752303423488, 0]],
     ], ids=["4e11", "1.7e18"])
-    def test_theorems_exits_0(self, capsys, tmp_path, rows):
-        assert 0.5 < canonical_record(capsys, tmp_path, rows)["omega"] < 1.0
+    def test_theorems_exits_0(self, tmp_path, rows):
+        assert 0.5 < canonical_record(tmp_path, rows)["omega"] < 1.0
 
-    def test_theorems_is_consistent(self, capsys, tmp_path):
-        canonical = canonical_record(capsys, tmp_path,
-                                     [[300000000000, 1, 0], [0, 100000000000, 0]])
+    def test_theorems_is_consistent(self, tmp_path):
+        canonical = canonical_record(tmp_path, [[300000000000, 1, 0], [0, 100000000000, 0]])
         assert (canonical["omega"], canonical["consistent"]) == (0.9999990409851074, True)
 
-    def test_omega_at_the_largest_n(self, capsys):
-        code, out, err = run_cli(capsys, "omega", "--n", str(2**255 - 1), "--d", "1",
-                                 "--format", "json", "--precision", "raw")
+    def test_omega_at_the_largest_n(self):
+        code, out, err = run("omega", "--n", str(2**255 - 1), "--d", "1",
+                             "--format", "json", "--precision", "raw")
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert (payload["omega"], payload["sign_changes"]) == (0.9999999999694824, 1)

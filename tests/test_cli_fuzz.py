@@ -9,15 +9,13 @@ and ``omega`` answers every valid n > 2d.  No call may raise, and a
 message on stderr comes with exit 1 only.  The one exception, exit 2 at
 very large totals, is a known defect (below).
 """
-import contextlib
-import io
 import json
 
 import pytest
+from goldens import run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoeval.cli import main
 from infoeval.confusion import parse_matrices
 
 COMMANDS = ("eval", "rank", "theorems")
@@ -93,10 +91,7 @@ def run_all_commands(directory, text, suffix, fmt, precision):
     path = directory / f"input{suffix}"
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), "--format", fmt, "--precision", precision])
-        message = err.getvalue()
+        code, _, message = run(command, str(path), "--format", fmt, "--precision", precision)
         if code == 2:
             assert message.startswith("invariant violation: "), message
             totals = [m.total for m in parse_matrices(text, suffix[1:])]
@@ -124,18 +119,6 @@ def test_csv_lines(input_dir, text, opts):
     run_all_commands(input_dir, text, ".csv", *opts)
 
 
-def run_main(argv):
-    """``main``'s exit code, stdout and stderr; argparse's usage errors
-    end in SystemExit."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 counts_text = st.text() | st.integers(-5, 2**256).map(str)
 # --step at least 1e-3 keeps a sweep to 500 grid points
 step_text = st.text() | st.floats(1e-3, 1.0).map(repr)
@@ -145,7 +128,7 @@ step_text = st.text() | st.floats(1e-3, 1.0).map(repr)
 @given(st.sampled_from(["omega", "sweep"]), counts_text, counts_text, step_text, options)
 def test_count_options_arbitrary_text(command, n, d, step, opts):
     argv = [command, "--n", n, "--d", d, "--format", opts[0], "--precision", opts[1]]
-    code, _, message = run_main(argv + (["--step", step] if command == "sweep" else []))
+    code, _, message = run(*argv, *(["--step", step] if command == "sweep" else []))
     assert code in (0, 1), (argv, code, message)
     assert (code == 0) == (message == ""), (argv, message)
 
@@ -161,7 +144,7 @@ def valid_splits(draw):
 @given(valid_splits())
 def test_omega_answers_every_valid_split(split):
     n, d = split
-    code, out, err = run_main(["omega", "--n", str(n), "--d", str(d),
-                               "--format", "json", "--precision", "raw"])
+    code, out, err = run("omega", "--n", str(n), "--d", str(d),
+                         "--format", "json", "--precision", "raw")
     assert (code, err) == (0, ""), split
     assert 0.5 < json.loads(out)["omega"] < 1.0, split

@@ -9,8 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from goldens import run
+
 import infoeval.cli as cli
-from infoeval.cli import main
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -32,15 +33,6 @@ HELP = [
 ]
 
 
-def in_process(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def fresh_process(argv, columns="80"):
     env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": columns}
     result = subprocess.run(
@@ -54,38 +46,38 @@ def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_successive_calls_match_fresh_processes(capsys, monkeypatch):
+def test_successive_calls_match_fresh_processes(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # the usage error wraps to it
     for argv in SEQUENCE:
-        assert in_process(capsys, argv) == fresh_process(argv), argv
+        assert run(*argv) == fresh_process(argv), argv
 
 
-def test_help_version_and_usage_match_fresh_processes(capsys, monkeypatch):
+def test_help_version_and_usage_match_fresh_processes(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     for argv in SEQUENCE[:2]:
-        in_process(capsys, argv)
+        run(*argv)
     for argv in HELP:
-        got = in_process(capsys, argv)
+        got = run(*argv)
         assert got == fresh_process(argv), argv
         assert got[0] == (1 if argv == HELP[-1] else 0)
 
 
-def test_help_reads_the_terminal_width_each_time(capsys, monkeypatch):
+def test_help_reads_the_terminal_width_each_time(monkeypatch):
     monkeypatch.setenv("COLUMNS", "132")
-    wide = in_process(capsys, ["--help"])
+    wide = run("--help")
     monkeypatch.setenv("COLUMNS", "40")
-    narrow = in_process(capsys, ["--help"])
+    narrow = run("--help")
     assert narrow != wide
     assert narrow == fresh_process(["--help"], columns="40")
 
 
-def test_monkeypatched_handler_dependency_after_warm_call(capsys, monkeypatch):
-    assert in_process(capsys, ["eval", "binary_models"])[0] == 0
+def test_monkeypatched_handler_dependency_after_warm_call(monkeypatch):
+    assert run("eval", "binary_models")[0] == 0
 
     def explode(*args, **kwargs):
         raise cli.InvariantViolation("NI1 = 1.5 is outside [0, 1]")
 
     monkeypatch.setattr(cli, "evaluate_all", explode)
-    code, out, err = in_process(capsys, ["eval", "binary_models"])
+    code, out, err = run("eval", "binary_models")
     assert (code, out) == (2, "")
     assert err == "invariant violation: NI1 = 1.5 is outside [0, 1]\n"

@@ -2,8 +2,9 @@
 import json
 
 import pytest
+from goldens import output, run
 
-from infoeval import MeasureId, cli, evaluate, fixtures
+from infoeval import MeasureId, evaluate, fixtures
 
 
 def test_available_lists_bundled_sets():
@@ -81,27 +82,26 @@ def test_load_picks_the_format_by_suffix(tmp_path):
         fixtures.load(str(other))
 
 
-def test_load_reads_csv_like_the_cli(tmp_path, capsys):
+def test_load_reads_csv_like_the_cli(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("pred1,pred2,reject\n90,3,2\n1,8,1\n")
     (loaded,) = fixtures.load(str(path))
     assert loaded.counts == ((90, 3, 2), (1, 8, 1))
-    assert cli.main(
-        ["eval", str(path), "--measures", "NI2", "--format", "json", "--precision", "raw"]
-    ) == 0
-    (printed,) = json.loads(capsys.readouterr().out)
+    (printed,) = json.loads(
+        output(["eval", str(path), "--measures", "NI2", "--format", "json", "--precision", "raw"])
+    )
     assert printed["measures"]["NI2"] == evaluate(MeasureId.NI2, loaded).value
 
 
-def test_csv_only_fixture_loads_by_stem(tmp_path, monkeypatch, capsys):
+def test_csv_only_fixture_loads_by_stem(tmp_path, monkeypatch):
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
     (tmp_path / "b.csv").write_text("90,3,2\n1,8,1\n")
     assert fixtures.available() == ("b",)
     (loaded,) = fixtures.load("b")
     assert loaded == fixtures.load("b.csv")[0]
     assert loaded.counts == ((90, 3, 2), (1, 8, 1))
-    assert cli.main(["eval", "b", "--measures", "NI2", "--format", "json"]) == 0
-    (printed,) = json.loads(capsys.readouterr().out)
+    (printed,) = json.loads(output(["eval", "b", "--measures", "NI2", "--format", "json"]))
     assert printed["name"] == "M1"
-    assert cli.main(["eval", "nothing"]) == 1
-    assert "available: b" in capsys.readouterr().err
+    code, _, err = run("eval", "nothing")
+    assert code == 1
+    assert "available: b" in err

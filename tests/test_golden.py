@@ -8,17 +8,14 @@ command that writes it; its docstring says how to regenerate one.
 ``sweep --help`` at ``COLUMNS=80``; ``eval`` and ``rank`` help is left
 out, because Python 3.13 formats option aliases differently.
 """
-import contextlib
-import io
 import json
 
 import pytest
-from goldens import GOLDEN, GOLDENS, output
+from goldens import GOLDEN, GOLDENS, output, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoeval import CATALOG, AugmentedConfusionMatrix, evaluate, evaluate_all
-from infoeval.cli import main
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -33,12 +30,9 @@ def test_each_golden_is_checked_once():
 
 
 @pytest.mark.parametrize("command", ["omega", "sweep"])
-def test_help_matches_golden(capsys, monkeypatch, command):
+def test_help_matches_golden(monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
-    with pytest.raises(SystemExit) as info:
-        main([command, "--help"])
-    assert info.value.code == 0
-    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
+    assert run(command, "--help") == (0, (GOLDEN / f"help_{command}.txt").read_text(), "")
 
 
 @st.composite
@@ -73,13 +67,6 @@ def competing_models(draw):
     return draw(st.lists(mixed_scale_matrices(m), min_size=2, max_size=4))
 
 
-def _run(argv):
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        assert main(argv) == 0
-    return json.loads(buffer.getvalue())
-
-
 @settings(max_examples=20, deadline=None)
 @given(competing_models())
 def test_cli_rank_values_equal_eval_values(tmp_path_factory, models):
@@ -88,12 +75,12 @@ def test_cli_rank_values_equal_eval_values(tmp_path_factory, models):
     options = ["--measures", "information", "--format", "json", "--precision", "raw"]
     evaluated = {
         (entry["name"], measure): value
-        for entry in _run(["eval", str(path), *options])
+        for entry in json.loads(output(["eval", str(path), *options]))
         for measure, value in entry["measures"].items()
     }
     ranked = {
         (entry["name"], ranking["measure"]): entry["value"]
-        for ranking in _run(["rank", str(path), *options])["rankings"]
+        for ranking in json.loads(output(["rank", str(path), *options]))["rankings"]
         for entry in ranking["models"]
     }
     assert ranked == evaluated

@@ -4,8 +4,9 @@ import collections
 import json
 
 import pytest
+from goldens import output, run
 
-from infoeval import CanonicalKind, CanonicalModel, analysis, cli
+from infoeval import CanonicalKind, CanonicalModel, analysis
 
 
 @pytest.fixture
@@ -29,21 +30,17 @@ def calls(monkeypatch):
     "fixture, splits",
     [("binary_models", 1), ("class_share_study", 2)],
 )
-def test_one_ranking_and_one_solve_per_split(calls, capsys, fixture, splits):
-    assert cli.main(["theorems", fixture, "--format", "json"]) == 0
-    capsys.readouterr()
+def test_one_ranking_and_one_solve_per_split(calls, fixture, splits):
+    assert run("theorems", fixture, "--format", "json")[0] == 0
     assert calls["rank_canonical"] == splits
     assert calls["crossover_analysis"] == splits
 
 
-def _theorems(capsys, path):
-    code = cli.main(["theorems", str(path), "--format", "json", "--precision", "raw"])
-    out, err = capsys.readouterr()
-    assert code == 0, err
-    return json.loads(out)
+def _theorems(path):
+    return json.loads(output(["theorems", str(path), "--format", "json", "--precision", "raw"]))
 
 
-def test_splits_with_equal_n_and_d_are_kept_apart(capsys, tmp_path):
+def test_splits_with_equal_n_and_d_are_kept_apart(tmp_path):
     # (80, 20, 5) and (90, 10, 5) share n = 100 and d = 5, hence omega,
     # but not p1, and p1 falls on either side of omega
     quads = [
@@ -56,7 +53,7 @@ def test_splits_with_equal_n_and_d_are_kept_apart(capsys, tmp_path):
     together = tmp_path / "together.json"
     together.write_text(json.dumps([{"name": name, "matrix": rows} for name, rows in models]))
 
-    records = _theorems(capsys, together)
+    records = _theorems(together)
     assert [record["name"] for record in records] == [name for name, _ in models]
     assert sum(record["canonical"] is None for record in records) == 1
     canonical = [record["canonical"] for record in records if record["canonical"]]
@@ -66,5 +63,5 @@ def test_splits_with_equal_n_and_d_are_kept_apart(capsys, tmp_path):
     for (name, rows), record in zip(models, records):
         alone = tmp_path / f"{name}.json"
         alone.write_text(json.dumps([{"name": name, "matrix": rows}]))
-        (expected,) = _theorems(capsys, alone)
+        (expected,) = _theorems(alone)
         assert record == expected, name
