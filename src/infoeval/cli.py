@@ -18,19 +18,16 @@ codes: 0 on success, 1 on bad input or a failed write of the result,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from . import __version__, analysis, fixtures
+from . import __version__, fixtures
 from .confusion import AugmentedConfusionMatrix
 from .infocore import SINGULAR
 from .measures import InvariantViolation, evaluate_all, parse_selection
-from .ranking import rank
 
 __all__ = ["main"]
 
@@ -79,8 +76,10 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    # built once per process: parse_args leaves the parser unchanged, and
-    # the handlers look up evaluate_all, rank and analysis at call time
+    # built once per process: parse_args leaves the parser unchanged.  The
+    # handlers look up evaluate_all, and import ranking and analysis, at
+    # call time: a command loads only the modules it runs, and calls
+    # whatever their functions are bound to then
     parser = _Parser(
         prog="infoeval",
         description="Evaluate and rank classifications that may reject samples.",
@@ -213,6 +212,15 @@ def _json(value, digits: int | None, pad: str, out: list) -> None:
         out.append(_encode_str(_singular_as_s(value)))
 
 
+def _csv_cell(cell: str) -> str:
+    # quoted exactly when it holds a comma, a quote or a line break, with
+    # its quotes doubled; csv.writer would cost start-up time, and before
+    # Python 3.13 it left a bare "\r" unquoted
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> str:
     """A handler's result as text in the chosen format.
 
@@ -226,11 +234,7 @@ def _render(args, payload, header: Sequence[str], rows: Iterable[Iterable]) -> s
         return "".join(out)
     cells = [[_format_value(value, args) for value in row] for row in rows]
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
-        return buffer.getvalue()
+        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *cells])
     # a "|" would end the cell and a line break the row: GitHub-flavoured
     # markdown reads "\|" and "<br>" ("." keeps a break at a cell's end)
     table = [header, ["---"] * len(header), *cells]
@@ -262,6 +266,8 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_rank(args) -> str:
+    from .ranking import rank
+
     models = _load_models(args.inputs)
     selection = parse_selection(args.measures)
     names = [model.model_name for model in models]
@@ -298,8 +304,8 @@ def _cmd_rank(args) -> str:
     return _render(args, payload, ["measure", "model", "value", "letter"], rows)
 
 
-def _theorem_record(model: AugmentedConfusionMatrix, rank_canonical) -> dict:
-    """One model's theorems; ``rank_canonical`` ranks a (c1, c2, d) split."""
+def _theorem_record(model: AugmentedConfusionMatrix, analysis, rank_canonical) -> dict:
+    """One model's theorems by ``analysis``; ``rank_canonical`` ranks a (c1, c2, d) split."""
     blocks = analysis.detect_mi_local_minimum(model)
     record = {
         "name": model.model_name,
@@ -330,9 +336,13 @@ _CANONICAL_COLUMNS = ("c1", "c2", "d", "delta_I", "p1", "omega", "consistent")
 
 
 def _cmd_theorems(args) -> str:
+    from . import analysis
+
     # one ranking per (c1, c2, d) split, shared by the split's models
     rank_canonical = functools.cache(analysis.rank_canonical)
-    payload = [_theorem_record(model, rank_canonical) for model in _load_models(args.inputs)]
+    payload = [
+        _theorem_record(model, analysis, rank_canonical) for model in _load_models(args.inputs)
+    ]
     header = [
         "model", "mi_local_minimum", "blocks", "divergence_maximum",
         "canonical_kind", *_CANONICAL_COLUMNS,
@@ -351,6 +361,8 @@ def _cmd_theorems(args) -> str:
 
 
 def _cmd_omega(args) -> str:
+    from . import analysis
+
     result = analysis.crossover_analysis(args.n, args.d)
     payload = {
         "n": result.n,
@@ -362,6 +374,8 @@ def _cmd_omega(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    from . import analysis
+
     points = analysis.sweep_delta_curves(args.n, args.d, args.step)
     payload = {"n": args.n, "d": args.d, "points": [point._asdict() for point in points]}
     return _render(args, payload, analysis.SweepPoint._fields, points)

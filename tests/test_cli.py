@@ -541,6 +541,23 @@ class TestMarkdownEscape:
         _, out, _ = run("eval", str(path), "--measures", "NI2", "--format", "json")
         assert json.loads(out)[0]["name"] == "a|b"
 
+    @pytest.mark.parametrize("command, column", [("eval", 0), ("rank", 1), ("theorems", 0)])
+    def test_csv_quotes_a_cell_that_holds_a_separator(self, tmp_path, command, column):
+        # csv.writer before Python 3.13 left a bare "\r" unquoted
+        names = ["a,b", 'c"d', "e\rf", "g\nh", "i\r\nj", '"']
+        path = tmp_path / "separators.json"
+        path.write_text(json.dumps([
+            {"name": name, "matrix": [[90 - k, 3, 2], [1, 8, 1]]} for k, name in enumerate(names)
+        ]))
+        extra = [] if command == "theorems" else ["--measures", "NI2"]
+        code, out, _ = run(command, str(path), *extra, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert [row[column] for row in rows] == names
+        assert {len(row) for row in rows} == {len(header)}
+        if command == "eval":
+            assert out.splitlines()[1:3] == ['"a,b",0.561', '"c""d",0.560']
+
 
 class TestFixtureResolution:
     def test_stem_with_suffix(self):
