@@ -49,8 +49,8 @@ __all__ = [
     "sweep_delta_curves",
 ]
 
-_P_TOL = 1e-10
-_SCAN_POINTS = 1000  # grid intervals of the cross-over sign-change scan
+_LN2 = math.log(2.0)
+_SCAN_POINTS = 1000  # grid intervals of crossover_analysis's sign-change scan
 _SCAN_LO, _SCAN_HI = 0.5 + 1e-6, 1.0 - 1e-6
 # the scan's shares, built once: _SCAN_POINTS + 1 evenly spaced from
 # _SCAN_LO to _SCAN_HI, then the end p1 = 1, which can close a bracket
@@ -110,11 +110,21 @@ def _out_of_range(function, args: tuple, exc: Exception) -> ValueError:
 # the two cost formulas, unchecked; each caller checks its own arguments
 # and turns a float-range failure into a ValueError that names it
 def _misclassification(x, d, n):
-    return (x * math.log2(x / (x + d)) + d * math.log2(d / (x + d))) / n
+    # x log2(x/(x+d)) is taken as -x log1p(d/x)/ln 2 once x passes d, where
+    # the quotient nears 1 and its rounding would swamp the cost; below d
+    # the quotient is at most 1/2, and d/x could overflow
+    own = -x * math.log1p(d / x) / _LN2 if x > d else x * math.log2(x / (x + d))
+    return (own + d * math.log2(d / (x + d))) / n
 
 
 def _rejection(c, d, n):
     return d / n * math.log2(c / n)
+
+
+def _gap(x, d, n):
+    # the large-class error's cost minus the small-class reject's, both
+    # as functions of the small class's count x
+    return _misclassification(x, d, n) - _rejection(x, d, n)
 
 
 def _checked(cost, formula, total, d, n) -> float:
@@ -229,11 +239,10 @@ def crossover_gap(p1: float, n: float, d: float) -> float:
         raise ValueError(f"crossover_gap: p1 must be in (0, 1), got {p1}")
     if not (n > 0 and d > 0):
         raise ValueError(f"crossover_gap: n and d must be positive, got n={n}, d={d}")
-    # the solver calls this 1024 times, so the arguments are checked
-    # here once, not again by the public costs
+    # crossover_analysis's scan calls this 1001 times, so the arguments
+    # are checked here once, not again by the public costs
     try:
-        c2 = (1.0 - p1) * n
-        return _misclassification(c2, d, n) - _rejection(c2, d, n)
+        return _gap((1.0 - p1) * n, d, n)
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(crossover_gap, (p1, n, d), exc) from None
 
@@ -259,45 +268,73 @@ def _check_split(n: int, d: int) -> None:
         raise ValueError(f"need n below 2**255, got n={n}")
 
 
-def crossover_analysis(n: int, d: int) -> CrossoverResult:
-    """Locate where the large-class-error and small-class-reject costs cross.
+def _small_class_root(n: int, d: int) -> float:
+    """The small class's count x* in (0, n/2) at which the gap is 0.
 
-    The gap of :func:`crossover_gap` strictly increases with p1, so on a
-    scan of p1 over (0.5, 1) it is negative up to one grid point and
-    not negative from there on.  The one bracket ends at that first
-    point, which may be an exact zero (p1 = 0.75 when n = 4d), or at
-    p1 = 1 where the whole scan is negative (n/d above about 3.679e11):
-    the gap grows without bound as the small class empties.  The
-    bracket is bisected until it is narrower than 1e-10, so p1 = 1
-    itself is never evaluated.  ValueError unless 2**255 > n > 2d > 0.
+    With x = (1 - p1) n, n gap = x log2(x/(x+d)) + d log2(d/(x+d)) -
+    d log2(x/n) falls from +inf at x = 0 to below 0 at n/2 (for n > 2d).
+    Its derivative, -(log1p(d/x) + d/x)/ln 2, is negative and increasing,
+    so the gap is convex with one root.  A Newton step from the root's
+    left rises to it without passing it; one from its right lands on its
+    left.  (lo, hi) holds the last point of each sign, and a step that
+    would leave it bisects it instead, so each step but the last shrinks
+    it.  The search stops at a step of at most 4 ulps of x.
 
-    For n far above d the root has a closed form.  With x = (1 - p1) n,
-    n gap = x log2(x/(x+d)) + d log2(d/(x+d)) - d log2(x/n); for x >> d
-    the first term tends to -d/ln 2 and the rest to d log2(n d/x**2),
-    so the small class holds x* ~ sqrt(n d/e) samples at the crossing
-    and omega ~ 1 - sqrt(d/(e n)).  The relative error of x* is about a
-    quarter of sqrt(e d/n).
+    The start, sqrt(n d/e), is the root for n >> d, where the first term
+    of n gap tends to -d/ln 2 and the rest to d log2(n d/x**2); its
+    relative error is about a quarter of sqrt(e d/n).
     """
-    _check_split(n, d)
-    fs = [crossover_gap(x, n, d) for x in _SCAN[:-1]]
-    # the first point whose gap is not negative, else the end p1 = 1;
-    # the gap at the first point is negative for every n > 2d, so k > 0
-    k = next((k for k, f in enumerate(fs) if not f < 0.0), len(fs))
-    bracket = a, b = _SCAN[k - 1], _SCAN[k]
-    # 23 halvings of a ~5e-4 grid bracket, 14 of the 1e-6 end bracket;
-    # floats in (0.5, 1) are 1.1e-16 apart
-    while b - a >= _P_TOL:
-        mid = 0.5 * (a + b)
-        if crossover_gap(mid, n, d) < 0.0:
-            a = mid
+    lo, hi = 0.0, n / 2
+    x = math.sqrt(n * d / math.e)
+    while True:
+        gap = _gap(x, d, n)
+        if gap > 0.0:
+            lo = x
+        elif gap < 0.0:
+            hi = x
         else:
-            b = mid
-    return CrossoverResult(n=n, d=d, omega=0.5 * (a + b), brackets=(bracket,))
+            return x
+        step = gap * n * _LN2 / (math.log1p(d / x) + d / x)
+        tol = 4.0 * math.ulp(x)
+        # a step below tol may round onto the bracket's end; it ends the search
+        if abs(step) > tol and not lo < x + step < hi:
+            step = 0.5 * (lo + hi) - x
+        if abs(step) <= tol:
+            return x + step
+        x += step
 
 
 def crossover_omega(n: int, d: int) -> float:
-    """The unique large-class share in (0.5, 1) where the costs cross."""
-    return crossover_analysis(n, d).omega
+    """The unique large-class share in (0.5, 1) where the costs cross.
+
+    omega = (n - x*)/n for the small-class count x* of the crossing,
+    solved by safeguarded Newton steps in x.  Past n/d of about 2**106
+    that quotient rounds to 1, so there the answer is the largest float
+    below 1.  ValueError unless 2**255 > n > 2d > 0.
+    """
+    _check_split(n, d)
+    omega = (n - _small_class_root(n, d)) / n
+    return omega if omega < 1.0 else math.nextafter(1.0, 0.0)
+
+
+def crossover_analysis(n: int, d: int) -> CrossoverResult:
+    """The cross-over share, with the grid bracket that holds it.
+
+    ``omega`` is :func:`crossover_omega`.  The bracket comes from a scan
+    of :func:`crossover_gap` over 1001 shares in (0.5, 1).  The gap
+    strictly increases with p1, so on the scan it is negative up to one
+    grid point and not negative from there on.  The one bracket ends at
+    that first point, which may be an exact zero (p1 = 0.75 when
+    n = 4d), or at p1 = 1 where the whole scan is negative (n/d above
+    about 3.679e11): the gap grows without bound as the small class
+    empties.  ValueError unless 2**255 > n > 2d > 0.
+    """
+    omega = crossover_omega(n, d)
+    fs = [crossover_gap(p1, n, d) for p1 in _SCAN[:-1]]
+    # the first point whose gap is not negative, else the end p1 = 1;
+    # the gap at the first point is negative for every n > 2d, so k > 0
+    k = next((k for k, f in enumerate(fs) if not f < 0.0), len(fs))
+    return CrossoverResult(n=n, d=d, omega=omega, brackets=((_SCAN[k - 1], _SCAN[k]),))
 
 
 class CanonicalRanking(namedtuple("CanonicalRanking", "models ni2 observed predicted p1 omega")):
@@ -318,9 +355,9 @@ def rank_canonical(c1: int, c2: int, d: int) -> CanonicalRanking:
     """Order the four canonical departures by NI2, best first.
 
     The observed order (direct NI2 evaluation) is returned alongside
-    the order the cross-over rule predicts from the closed-form costs
-    of the large-class error and the small-class reject: p1 = c1/n vs
-    the exact omega, free of omega's 1e-10 tolerance.  Past n/d of
+    the order the cross-over rule predicts.  The rule compares the
+    closed-form costs of the large-class error and the small-class
+    reject directly, not p1 = c1/n with the float omega.  Past n/d of
     about 1e13 the four NI2 values can tie in floats, so the observed
     order, and ``consistent``, can be wrong.
     """

@@ -4,6 +4,7 @@ import math
 import time
 from decimal import Decimal, localcontext
 
+import exact
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,12 @@ class TestCosts:
                 rejection_cost(*args)
         with pytest.raises(ValueError, match="^rejection_cost needs positive finite"):
             rejection_cost(math.inf, 1, math.inf)
+
+    def test_receiving_total_far_below_d(self):
+        # d / x overflows to inf here, so the error cost keeps the
+        # quotient x/(x+d) below d instead of log1p(d/x)
+        v = misclassification_cost(1e-320, 1, 100)
+        assert math.isfinite(v) and v < 0.0
 
     def test_underflowing_rejection_cost_is_negative_zero(self):
         # d / n underflows to 0.0 and log2(c / n) is about -1023.15; the
@@ -367,14 +374,13 @@ class TestCrossover:
     @pytest.mark.parametrize("d", [1, 7, 1000])
     @pytest.mark.parametrize("ratio", [10**k for k in range(2, 10)])
     def test_asymptote(self, ratio, d):
-        # x* ~ sqrt(n d/e) for n >> d, off by about a quarter of
-        # sqrt(e d/n); past n/d ~ 1e10 omega's 1e-10 tolerance dominates
+        # x* ~ sqrt(n d/e) for n >> d, off by about a quarter of sqrt(e d/n)
         n = ratio * d
         x = (1.0 - crossover_omega(n, d)) * n
         assert abs(x / math.sqrt(n * d / math.e) - 1.0) <= math.sqrt(d * math.e / n)
 
 
-# the solver's scan: 1001 evenly spaced shares from 0.500001 to 0.999999
+# crossover_analysis's scan: 1001 evenly spaced shares from 0.500001 to 0.999999
 SCAN = [0.500001 + (0.999999 - 0.500001) * k / 1000 for k in range(1001)]
 SMALL_N = [(n, d) for n in range(3, 400, 3) for d in range(1, (n + 1) // 2, 1 + n // 10)]
 
@@ -397,7 +403,7 @@ def log_uniform_splits(draw):
 
 class TestGapMonotoneOnScan:
     """The gap increases with p1, so the scan holds exactly one bracket:
-    the solver ends it at the first point whose gap is not negative."""
+    crossover_analysis ends it at the first point whose gap is not negative."""
 
     def test_small_n(self):
         for n, d in SMALL_N:
@@ -418,55 +424,57 @@ class TestGapMonotoneOnScan:
         assert crossover_analysis(4 * d, d).brackets == ((SCAN[499], SCAN[500]),)
 
 
-def exact_omega(n, d):
-    """The cross-over share to 100 digits, bisected over (0.5, 1).
-
-    With x = (1 - p1) n, n ln(2) gap = (x - d) ln x - (x + d) ln(x + d)
-    + d ln(d n).  Its terms reach about 1e79 for n near 2**255, so 100
-    digits keep its sign exact; 50 halvings leave a bracket of 4.4e-16.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 100
-        n, d = Decimal(n), Decimal(d)
-
-        def gap(p1):
-            x = (1 - p1) * n
-            return (x - d) * x.ln() - (x + d) * (x + d).ln() + d * (d * n).ln()
-
-        a, b = Decimal("0.5"), Decimal(1)
-        for _ in range(50):
-            mid = (a + b) / 2
-            if gap(mid) < 0:
-                a = mid
-            else:
-                b = mid
-        return float((a + b) / 2)
+# n/d log-spaced from 2.01 to 2**254: the scan brackets the root up to
+# n/d of about 3.679e11, and past 2**106 the share rounds to 1
+EXACT_RATIOS = [2.01 * (2.0**254 / 2.01) ** (i / 39) for i in range(40)]
 
 
-# n/d log-spaced from 1e2 to 3.6787e11, where the scan brackets the root,
-# then on to 2**254, where the root lies between the scan's end and 1
-EXACT_RATIOS = [10 ** (2 + i * (math.log10(3.6787e11) - 2) / 20) for i in range(21)] + [
-    10 ** (11.6 + i * (math.log10(2.0**254) - 11.6) / 12) for i in range(1, 13)
-]
+def exact_splits(d):
+    """The valid n at the n/d of EXACT_RATIOS: n > 2d and n < 2**255."""
+    ns = (max(2 * d + 1, round(d * ratio)) for ratio in EXACT_RATIOS)
+    return [n for n in ns if n < 2**255]
 
 
 class TestCrossoverAgainstExactRoot:
-    """The bisection runs to a fixed width, so omega is within 1e-10 of
-    the root at every n/d, also where the gap is tiny (large n/d) and
-    where the root lies past the scan (n/d above about 3.679e11)."""
+    """The Newton solve in x lands within 1e-14, relative, of the exact
+    root x*, and omega within 1e-15 of the exact share, at every n/d:
+    also where the gap is tiny (large n/d) and where the share rounds to
+    1, which omega answers with the largest float below 1."""
 
     @pytest.mark.parametrize("d", [1, 7, 1000])
-    def test_omega_within_1e_10(self, d):
-        for ratio in EXACT_RATIOS:
-            n = round(d * ratio)
-            if n < 2**255:  # the largest valid total
-                assert abs(crossover_omega(n, d) - exact_omega(n, d)) <= 1e-10, (n, d)
+    def test_root_and_share(self, d):
+        for n in exact_splits(d):
+            root = exact.crossover_root(n, d)
+            x = analysis._small_class_root(n, d)
+            assert abs(Decimal(x) / root - 1) <= Decimal("1e-14"), (n, d)
+            share = 1 - root / n
+            omega = crossover_omega(n, d)
+            if float(share) == 1.0:
+                assert omega == math.nextafter(1.0, 0.0), (n, d)
+            else:
+                assert abs(Decimal(omega) - share) <= Decimal("1e-15"), (n, d)
+
+    @pytest.mark.parametrize("d", [1, 7, 1000])
+    def test_at_most_60_gap_evaluations(self, d, monkeypatch):
+        calls = []
+        gap = analysis._gap
+        monkeypatch.setattr(analysis, "_gap", lambda *args: calls.append(args) or gap(*args))
+        for n in exact_splits(d):
+            calls.clear()
+            crossover_omega(n, d)
+            assert 0 < len(calls) <= 60, (n, d)
+
+    @pytest.mark.parametrize("n, d", [(3, 1), (100, 1), (2**254 + 1, 7)],
+                             ids=["3-1", "100-1", "2**254+1-7"])
+    def test_the_oracle_agrees_with_itself_at_twice_its_precision(self, n, d):
+        root = exact.crossover_root(n, d)
+        finer = exact.crossover_root(n, d, prec=2 * exact.digits(n))
+        assert abs(root / finer - 1) <= Decimal("1e-24")
 
     @pytest.mark.parametrize("c1, c2, d", [
         # p1 = 1 - c2 / 1e11 lies 2e-8 to 4.2e-8 below omega = 0.99999808198
         *(pytest.param(10**11 - c2, c2, 1, id=str(c2)) for c2 in (194000, 195000, 196000)),
-        # c2 within 2 of the root, where p1 lies closer to omega than
-        # omega's 1e-10 tolerance
+        # c2 within 2 of the root, where p1 lies within 1e-10 of omega
         (10689522152, 4132346, 4343),
         (3405089333, 1119158, 1000),
         (132141403, 131713, 357),
@@ -503,13 +511,9 @@ def canonical_splits(draw):
 
 
 class TestRankCanonical:
-    # Two known defects are allowed until they are fixed.  Past
-    # c2 = 2**20 d, x/(x+d) in the large-class error's cost loses digits
-    # and can flip the predicted middle pair (ROADMAP direction 3), e.g.
-    # at (300529762112708775511086586914128403480289049413691,
-    # 47507377612621719000160933907897, 17037586581893).
-    # From a total of 2**26 on, a near-degenerate quad can put NI2
-    # outside [0, 1], and the ranking raises (direction 4).
+    # A known defect is allowed until it is fixed: from a total of 2**26
+    # on, a near-degenerate quad can put NI2 outside [0, 1], and the
+    # ranking raises (ROADMAP direction 4).
     @settings(max_examples=200, deadline=None)
     @given(canonical_splits())
     def test_predicted_is_the_exact_cost_order(self, split):
@@ -521,7 +525,7 @@ class TestRankCanonical:
             return
         costs = dict(zip(KINDS, exact_costs(c1, c2, d)))
         exact = tuple(sorted(costs, key=costs.get, reverse=True))
-        assert ranking.predicted == exact or c2 > 2**20 * d, split
+        assert ranking.predicted == exact, split
 
     def test_below_crossover(self):
         ranking = rank_canonical(94, 6, 1)

@@ -671,11 +671,12 @@ class TestCrossoverPastTheScanEnd:
 
     def test_theorems_is_consistent(self, tmp_path):
         canonical = canonical_record(tmp_path, [[300000000000, 1, 0], [0, 100000000000, 0]])
-        assert (canonical["omega"], canonical["consistent"]) == (0.9999990409851074, True)
+        assert (canonical["omega"], canonical["consistent"]) == (0.9999990409914473, True)
 
     def test_omega_at_the_largest_n(self):
         code, out, err = run("omega", "--n", str(2**255 - 1), "--d", "1",
                              "--format", "json", "--precision", "raw")
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert (payload["omega"], payload["sign_changes"]) == (0.9999999999694824, 1)
+        # the exact share rounds to 1: omega is the largest float below it
+        assert (payload["omega"], payload["sign_changes"]) == (0.9999999999999999, 1)

@@ -21,7 +21,7 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in ("rank_canonical", "crossover_analysis"):
+    for name in ("rank_canonical", "crossover_omega"):
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     return counts
 
@@ -33,7 +33,7 @@ def calls(monkeypatch):
 def test_one_ranking_and_one_solve_per_split(calls, fixture, splits):
     assert run("theorems", fixture, "--format", "json")[0] == 0
     assert calls["rank_canonical"] == splits
-    assert calls["crossover_analysis"] == splits
+    assert calls["crossover_omega"] == splits
 
 
 def _theorems(path):
