@@ -6,6 +6,9 @@ not collect this module; the tests import it.
 """
 from decimal import Decimal, localcontext
 
+# a cross entropy where a positive share meets a zero one
+INFINITE = Decimal("Infinity")
+
 
 def digits(n: int) -> int:
     """The working precision for a total n: about 2 log10(n) + 40
@@ -36,3 +39,55 @@ def crossover_root(n: int, d: int, prec: int | None = None) -> Decimal:
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def information(rows) -> dict[str, Decimal]:
+    """H(T), H(Y), H(T,Y), I, I_M, H(T;Y) and H(Y;T), in bits, of a table of counts.
+
+    ``rows`` are the m rows of an augmented confusion matrix, each with
+    m + 1 counts; the last column is the reject column, which adds to I
+    but not to I_M.  Each value sums its closed-form terms, c/n log(n/c)
+    for the entropies, c/n log(c n / (row total * column total)) for I
+    and I_M, and -a/n log(b/n) for a cross entropy, which is INFINITE
+    where some a > 0 meets b = 0.  A log is taken of an exact quotient
+    of integers, so ``digits(n)`` digits resolve a share of 1 - 1/n.
+    """
+    rows = [list(row) for row in rows]
+    row_totals = [sum(row) for row in rows]
+    col_totals = [sum(column) for column in zip(*rows)]
+    n = sum(row_totals)
+    with localcontext() as ctx:
+        ctx.prec = digits(n)
+        ln2 = Decimal(2).ln()
+
+        def term(a, num, den):
+            # (a / n) log2(num / den) of integers, with one rounded quotient
+            return Decimal(a) / n * (Decimal(num) / Decimal(den)).ln() / ln2
+
+        def entropy(counts):
+            return -sum((term(c, c, n) for c in counts if c), Decimal(0))
+
+        def cross_entropy(p, q):
+            if any(a and not b for a, b in zip(p, q)):
+                return INFINITE
+            return -sum((term(a, b, n) for a, b in zip(p, q) if a), Decimal(0))
+
+        i = i_m = Decimal(0)
+        reject = len(col_totals) - 1
+        for row, a in zip(rows, row_totals):
+            for j, c in enumerate(row):
+                if c:
+                    mi = term(c, c * n, a * col_totals[j])
+                    i += mi
+                    if j != reject:
+                        i_m += mi
+        t = [*row_totals, 0]
+        return {
+            "h_t": entropy(row_totals),
+            "h_y": entropy(col_totals),
+            "h_joint": entropy(c for row in rows for c in row),
+            "i": i,
+            "i_m": i_m,
+            "ce": cross_entropy(t, col_totals),
+            "ce_back": cross_entropy(col_totals, t),
+        }

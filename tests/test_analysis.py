@@ -15,7 +15,6 @@ from infoeval import (
     BinaryConfusion,
     CanonicalKind,
     CanonicalModel,
-    InvariantViolation,
     MeasureId,
     classify_canonical,
     evaluate,
@@ -511,18 +510,11 @@ def canonical_splits(draw):
 
 
 class TestRankCanonical:
-    # A known defect is allowed until it is fixed: from a total of 2**26
-    # on, a near-degenerate quad can put NI2 outside [0, 1], and the
-    # ranking raises (ROADMAP direction 4).
     @settings(max_examples=200, deadline=None)
     @given(canonical_splits())
     def test_predicted_is_the_exact_cost_order(self, split):
         c1, c2, d = split
-        try:
-            ranking = rank_canonical(c1, c2, d)
-        except InvariantViolation:
-            assert c1 + c2 >= 2**26, split
-            return
+        ranking = rank_canonical(c1, c2, d)
         costs = dict(zip(KINDS, exact_costs(c1, c2, d)))
         exact = tuple(sorted(costs, key=costs.get, reverse=True))
         assert ranking.predicted == exact, split

@@ -351,9 +351,9 @@ class TestErrorsAndExitCodes:
         # the second model gets I = 5 bits over H(T) = 1 bit, so NI1 = 5
         calls = []
 
-        def second_breaks(rows, n, p_t, p_y):
+        def second_breaks(rows, n, row_totals, col_totals):
             calls.append(rows)
-            h_joint, i, i_m = real(rows, n, p_t, p_y)
+            h_joint, i, i_m = real(rows, n, row_totals, col_totals)
             return (h_joint, 5.0, i_m) if len(calls) == 2 else (h_joint, i, i_m)
 
         real = measures._information_terms

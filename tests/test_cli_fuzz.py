@@ -6,8 +6,7 @@ well-formed count tables, and CSV lines, run through ``eval``, ``rank``
 and ``theorems`` in every format and both precision modes.  ``omega``
 and ``sweep`` get arbitrary text for ``--n``, ``--d`` and ``--step``,
 and ``omega`` answers every valid n > 2d.  No call may raise, and a
-message on stderr comes with exit 1 only.  The one exception, exit 2 at
-very large totals, is a known defect (below).
+message on stderr comes with exit 1 only; no input may exit 2.
 """
 import json
 
@@ -15,8 +14,6 @@ import pytest
 from goldens import run
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from infoeval.confusion import parse_matrices
 
 COMMANDS = ("eval", "rank", "theorems")
 FORMATS = ("markdown", "csv", "json")
@@ -75,13 +72,6 @@ csv_text = st.one_of(
 ).map(lambda rows: "\n".join(",".join(row) for row in rows))
 options = st.tuples(st.sampled_from(FORMATS), st.sampled_from(PRECISIONS))
 
-# Known defect, on the ROADMAP: from a total of about 2**27 on, a
-# near-degenerate table loses enough precision that a measure leaves
-# [0, 1] (e.g. NI1 of [[2**27, 0], [0, 1]] is 1 + 1.1e-9) and the CLI
-# exits 2.  Exit 2 is allowed for such totals only, until that is fixed.
-IMPRECISE_TOTAL = 2**26
-
-
 @pytest.fixture(scope="module")
 def input_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -92,11 +82,6 @@ def run_all_commands(directory, text, suffix, fmt, precision):
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     for command in COMMANDS:
         code, _, message = run(command, str(path), "--format", fmt, "--precision", precision)
-        if code == 2:
-            assert message.startswith("invariant violation: "), message
-            totals = [m.total for m in parse_matrices(text, suffix[1:])]
-            assert max(totals) >= IMPRECISE_TOTAL, (command, message)
-            continue
         assert code in (0, 1), (command, code, message)
         assert (code == 0) == (message == ""), (command, message)
 

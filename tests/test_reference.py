@@ -4,6 +4,11 @@ Matrices have m <= 6 classes and counts from 0 to 10^6 mixed in one
 table, with the reject column either empty or not.  Every kernel value
 must match the reference within 1e-12 (relative and absolute), and
 SINGULAR or inf must appear exactly where the reference is infinite.
+The entropies, cross entropies, I and I_M come from the exact
+``decimal`` sums of ``tests/exact.py``, for a ratio such as NI1 of two
+small quantities is only as accurate as they are: a float reference
+put NI1 of the perfect classifier ((0, 301197, 0), (1, 0, 0)) 1.1e-12
+above its exact value 1.  The divergences come from numpy and scipy.
 Eight divergences are called through ``divergence`` in both directions:
 KL and chi-squared, plus the six other kernels (squared Euclidean,
 Cauchy-Schwarz, Bhattacharyya, Hellinger, variation, Jensen-Shannon).
@@ -27,6 +32,7 @@ from scipy.spatial.distance import jensenshannon
 from scipy.special import rel_entr
 from scipy.stats import entropy
 
+import exact
 from infoeval import (
     SINGULAR,
     AugmentedConfusionMatrix,
@@ -87,21 +93,11 @@ def _chi2(p, q):
 def _reference(matrix):
     counts = np.array(matrix.counts, dtype=np.int64)
     n = counts.sum()
-    joint = counts / n
     p_t = counts.sum(axis=1) / n
     p_y = counts.sum(axis=0) / n
     p = np.append(p_t, 0.0)  # p(t) on p(y)'s support
-    mi_terms = rel_entr(joint, np.outer(p_t, p_y)) / _LN2
-    h_t, h_y = entropy(p_t, base=2), entropy(p_y, base=2)
     return {
-        "h_t": h_t,
-        "h_y": h_y,
-        "h_joint": entropy(joint.ravel(), base=2),
-        "i": mi_terms.sum(),
-        "i_m": mi_terms[:, :-1].sum(),
-        # H(a;b) = H(a) + KL(a||b)
-        "ce": h_t + _kl(p, p_y),
-        "ce_back": h_y + _kl(p_y, p),
+        **{key: float(value) for key, value in exact.information(matrix.counts).items()},
         "kl": _kl(p, p_y),
         "kl_back": _kl(p_y, p),
         "chi2": _chi2(p, p_y),
@@ -153,6 +149,15 @@ _MEASURES = {
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
+# one class holds nearly every sample, so H(T) and I are about 1e-4 bits
+# or less; float logs of shares near 1 cost NI1 more than 1e-12 on each
+@example(AugmentedConfusionMatrix(((0, 182409, 0), (1, 0, 0))))
+@example(AugmentedConfusionMatrix(((0, 211087, 0), (1, 0, 0))))
+@example(AugmentedConfusionMatrix(((0, 301197, 0), (1, 0, 0))))
+@example(AugmentedConfusionMatrix(((0, 1, 0), (595847, 0, 0))))
+@example(AugmentedConfusionMatrix(((0, 1, 0), (1, 310161, 0))))
+# a float reference was 2.25e-12 off NI1 here
+@example(AugmentedConfusionMatrix(((2, 0, 2), (1953, 994418, 938883))))
 def test_measures_match_formulas_over_reference(matrix):
     # inf in _MEASURES stands for SINGULAR
     ref = _reference(matrix)
